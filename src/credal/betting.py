@@ -16,15 +16,14 @@ nonzero polynomial has isolated roots.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .distributions import Distribution, independent_square, make_distribution
+from .distributions import Distribution, coin_atom_polys, independent_square, make_distribution
 from .errors import EmptySetError, SpaceMismatchError, UnsupportedFamilyError
-from .sets import CredalSet, LinearSystem, ParametricFamily, VertexSet, _golden_min
+from .sets import CredalSet, LinearSystem, ParametricFamily, VertexSet, family_range
 from .spaces import Event, OutcomeSpace
 from .tolerances import TAU_LP, TAU_STRICT
 
@@ -189,18 +188,7 @@ def expectation_polynomial(book: BetBook, n_tosses: int | None = None) -> Expect
         raise UnsupportedFamilyError(
             f"book is over a {n}-toss space, not {n_tosses} tosses"
         )
-    payoff = payoff_table(book).antagonist
-    total = np.zeros(1)
-    for j, v in enumerate(payoff):
-        if v == 0.0:
-            continue
-        h = n - bin(j).count("1")
-        poly = np.array([v])
-        for _ in range(h):
-            poly = P.polymul(poly, [0.0, 1.0])
-        for _ in range(n - h):
-            poly = P.polymul(poly, [1.0, -1.0])
-        total = P.polyadd(total, poly)
+    total = P.polytrim(payoff_table(book).antagonist @ coin_atom_polys(n))
     return ExpectationPolynomial(tuple(float(c) for c in total))
 
 
@@ -211,8 +199,6 @@ class BookedVerdict:
     min_agent_expectation: float
     witness: Distribution | None = None  # attains the max agent expectation
     zero_ties: int | None = None  # VertexSet members with expectation ~ 0
-    exact: bool = True
-    note: str = ""
 
     @property
     def verdict(self) -> str:
@@ -257,81 +243,13 @@ def booked_in_expectation(book: BetBook, S: CredalSet) -> BookedVerdict:
 
 
 def _family_booked(book: BetBook, fam: ParametricFamily) -> BookedVerdict:
-    agent = payoff_table(book).agent
-    if fam.conditioning is None:
-        # exact route: agent expectation is a polynomial in the scan parameter
-        hi = (-math.inf, None, None)
-        lo = (math.inf, None, None)
-        for bi, branch in enumerate(fam.branches):
-            polys = branch.spec.atom_polys_scan(branch.param_dict)
-            agent_poly = np.zeros(1)
-            for j, polysj in enumerate(polys):
-                agent_poly = P.polyadd(agent_poly, agent[j] * np.asarray(polysj))
-            ep = ExpectationPolynomial(tuple(float(c) for c in agent_poly))
-            a, b = branch.spec.scan_interval(branch.lo, branch.hi)
-            v_hi, s_hi = ep.extremum_on(a, b, "max")
-            v_lo, s_lo = ep.extremum_on(a, b, "min")
-            if v_hi > hi[0]:
-                hi = (v_hi, bi, s_hi)
-            if v_lo < lo[0]:
-                lo = (v_lo, bi, s_lo)
-        witness = fam.member_at_scan(hi[1], hi[2])
-        return BookedVerdict(
-            booked=hi[0] <= TAU_LP and lo[0] < -TAU_STRICT,
-            max_agent_expectation=hi[0],
-            min_agent_expectation=lo[0],
-            witness=witness,
-        )
-
-    # conditioned families: expectation is a ratio of polynomials; scan
-    hi = (-math.inf, None, None)
-    lo = (math.inf, None, None)
-    for bi in range(len(fam.branches)):
-        svals, M = fam.scan_grid(bi)
-        if len(svals) == 0:
-            continue
-        vals = M @ agent
-
-        def fn(s, bi=bi):
-            try:
-                member = fam.member_at_scan(bi, s)
-            except Exception:
-                return math.nan
-            return float(agent @ member.probs)
-
-        for kind in ("max", "min"):
-            j = int(np.argmax(vals) if kind == "max" else np.argmin(vals))
-            a = svals[max(0, j - 1)]
-            b = svals[min(len(svals) - 1, j + 1)]
-            if kind == "max":
-                s = _golden_min(lambda t: -_ninf(fn(t)), a, b)
-                v = fn(s)
-                if math.isnan(v) or vals[j] > v:
-                    s, v = float(svals[j]), float(vals[j])
-                if v > hi[0]:
-                    hi = (v, bi, s)
-            else:
-                s = _golden_min(fn, a, b)
-                v = fn(s)
-                if math.isnan(v) or vals[j] < v:
-                    s, v = float(svals[j]), float(vals[j])
-                if v < lo[0]:
-                    lo = (v, bi, s)
-    if hi[1] is None:
-        raise EmptySetError("family has no members (conditioning removed all)")
-    witness = fam.member_at_scan(hi[1], hi[2])
+    low, _, high, witness = family_range(fam, payoff_table(book).agent)
     return BookedVerdict(
-        booked=hi[0] <= TAU_LP and lo[0] < -TAU_STRICT,
-        max_agent_expectation=hi[0],
-        min_agent_expectation=lo[0],
+        booked=high <= TAU_LP and low < -TAU_STRICT,
+        max_agent_expectation=high,
+        min_agent_expectation=low,
         witness=witness,
-        exact=False,
-        note="grid scan over a conditioned family",
     )
-
-
-def _ninf(v: float) -> float:
-    return v if math.isfinite(v) else -math.inf
 
 
 def fair_price_cents(payout_cents: int, event: Event, q: Distribution) -> int:

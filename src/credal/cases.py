@@ -4,7 +4,7 @@ Each case builds its inputs from scratch, runs the engines, and checks
 the results against expected values. Provenance tags say where an
 expected value comes from: "exact" values are dyadic or integer and must
 match to machine precision, "derived" values were computed by hand or by
-an independent method and are compared at 1e-9 (1e-6 for family grid
+an independent method and are compared at 1e-9 (1e-6 for family
 envelopes), and "table" values are two-decimal rounded figures compared
 at the table tolerance 5e-3.
 
@@ -77,6 +77,8 @@ from .spaces import Event, Variable, coin_space, product_space, simple_space
 from .tolerances import TAU_PAPER, TAU_PAPER_SLOP
 
 DERIVED_TOL = 1e-9
+# Family answers are exact up to root finding and rounding (about 1e-14);
+# 1e-6 is the margin an independent 1e-4 grid needs to agree with them.
 FAMILY_TOL = 1e-6
 
 

@@ -48,9 +48,10 @@ def cmd_examples(args) -> int:
     names = list(cases.REGISTRY) if args.all else [args.name]
     if not args.all and args.name is None:
         raise ParseError("examples run needs a name or --all")
-    failures = 0
+    failures = total = 0
     for name in names:
         checks = cases.run_case(name)
+        total += len(checks)
         if args.tolerance is not None:
             checks = [
                 cases.Check(c.label, c.actual, c.expected, args.tolerance, c.provenance)
@@ -67,7 +68,6 @@ def cmd_examples(args) -> int:
                 f"  {status} [{c.provenance}] {c.label}: "
                 f"actual={c.actual!r} expected={c.expected!r} ({tol})"
             )
-    total = sum(len(cases.run_case(n)) for n in names)
     print(f"{total - failures}/{total} checks passed")
     return 0 if failures == 0 else 1
 
@@ -174,8 +174,6 @@ def cmd_decide(args) -> int:
                 fileio.dump_json(
                     {
                         "admissible": list(report.admissible_actions),
-                        "exact": report.exact,
-                        "resolution": report.resolution,
                         "witnesses": {
                             e.action: list(e.witness.probs)
                             for e in report.entries
@@ -186,8 +184,6 @@ def cmd_decide(args) -> int:
             )
         else:
             print("admissible:", ", ".join(report.admissible_actions) or "(none)")
-            if not report.exact:
-                print(f"(family scan, resolution {report.resolution:g})")
             for e in report.entries:
                 if e.witness is not None:
                     vec = "  ".join(f"{x:.6g}" for x in e.witness.probs)

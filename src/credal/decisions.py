@@ -15,14 +15,13 @@ import numpy as np
 
 from .distributions import Distribution, make_distribution, mixture
 from .errors import (
-    CredalError,
     EmptyGroupError,
     EmptySetError,
     SpaceMismatchError,
     UnknownActionError,
 )
 from .linprog import LinearProgram, constraint, solve
-from .sets import REFINE_TOL, CredalSet, LinearSystem, ParametricFamily, VertexSet, _golden_min
+from .sets import CredalSet, LinearSystem, ParametricFamily, VertexSet
 from .spaces import OutcomeSpace
 from .tolerances import TAU_LP
 
@@ -87,8 +86,6 @@ class ActionAdmissibility:
 @dataclass(frozen=True)
 class AdmissibilityReport:
     entries: tuple[ActionAdmissibility, ...]
-    exact: bool = True
-    resolution: float | None = None  # family scan resolution when not exact
 
     @property
     def admissible_actions(self) -> tuple[str, ...]:
@@ -144,52 +141,33 @@ def e_admissible(U: UtilityMatrix, S: CredalSet, tol: float = TAU_LP) -> Admissi
 def _family_admissible(
     U: UtilityMatrix, fam: ParametricFamily, tol: float
 ) -> AdmissibilityReport:
-    """Grid scan with margin refinement; approximate by construction."""
+    """Exact: each margin eu_a - max_b eu_b is piecewise a ratio of
+    polynomials, so its maximum lies at a tie, a stationary point of a
+    pairwise difference, or an end of the parts with evidence."""
     k = len(U.actions)
-    witnesses: dict[str, Distribution] = {}
-    margins: list[tuple[float, int, float]] = [(-np.inf, 0, 0.0)] * k  # value, branch, s
+    i, j = np.triu_indices(k, 1)
+    pairs = U.u[i] - U.u[j]
+    best: list[tuple[float, int, float]] = [(-np.inf, 0, 0.0)] * k  # margin, branch, s
     for bi in range(len(fam.branches)):
-        svals, M = fam.scan_grid(bi)
-        if len(svals) == 0:
+        s, M = fam.critical_members(bi, levels=pairs, ratios=pairs)
+        if not len(s):
             continue
-        eu = M @ U.u.T  # grid x actions
-        best = eu.max(axis=1)
-        for ai, a in enumerate(U.actions):
-            margin = eu[:, ai] - best
-            j = int(np.argmax(margin))
-            if margin[j] >= -tol:
-                witnesses.setdefault(a, fam.member_at_scan(bi, float(svals[j])))
-            if margin[j] > margins[ai][0]:
-                margins[ai] = (float(margin[j]), bi, float(svals[j]))
-    if not witnesses and all(m[0] == -np.inf for m in margins):
+        eu = M @ U.u.T  # points x actions
+        margin = eu - eu.max(axis=1, keepdims=True)
+        for ai in range(k):
+            j = int(np.argmax(margin[:, ai]))
+            if margin[j, ai] > best[ai][0]:
+                best[ai] = (float(margin[j, ai]), bi, float(s[j]))
+    if best[0][0] == -np.inf:
         raise EmptySetError("family has no members (conditioning removed all)")
-
-    # refine near-miss actions around their best bracket
-    for ai, a in enumerate(U.actions):
-        if a in witnesses or margins[ai][0] == -np.inf:
-            continue
-        _, bi, s0 = margins[ai]
-        svals, _ = fam.scan_grid(bi)
-        step = svals[1] - svals[0] if len(svals) > 1 else 0.0
-
-        def neg_margin(s, ai=ai, bi=bi):
-            try:
-                member = fam.member_at_scan(bi, s)
-            except CredalError:
-                return np.inf
-            eu = utilities_at(member, U)
-            others = np.delete(eu, ai)
-            return float(others.max() - eu[ai])
-
-        lo = max(s0 - step, float(svals[0]))
-        hi = min(s0 + step, float(svals[-1]))
-        s_best = _golden_min(neg_margin, lo, hi)
-        if neg_margin(s_best) <= tol:
-            witnesses[a] = fam.member_at_scan(bi, s_best)
-    entries = tuple(
-        ActionAdmissibility(a, a in witnesses, witnesses.get(a)) for a in U.actions
+    return AdmissibilityReport(
+        tuple(
+            ActionAdmissibility(a, True, fam.member_at_scan(bi, s))
+            if margin >= -tol
+            else ActionAdmissibility(a, False)
+            for a, (margin, bi, s) in zip(U.actions, best)
+        )
     )
-    return AdmissibilityReport(entries, exact=False, resolution=REFINE_TOL)
 
 
 def e_admissible_over_hull(

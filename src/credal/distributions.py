@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -210,36 +211,21 @@ def independent_square(w: float) -> Distribution:
     return make_distribution(coin_space(2), probs)
 
 
-# Vectorized forms used by grid scans over parametric families: rows are
-# parameter values, columns are atoms.
+@lru_cache(maxsize=16)
+def coin_atom_polys(n_tosses: int) -> np.ndarray:
+    """Atom probabilities of the n-toss iid coin as polynomials in P(H).
 
-
-def iid_coin_matrix(thetas: np.ndarray, n_tosses: int) -> np.ndarray:
-    thetas = np.asarray(thetas, dtype=float)
-    heads = _head_counts(n_tosses)
-    return (
-        thetas[:, None] ** heads[None, :]
-        * (1.0 - thetas[:, None]) ** (n_tosses - heads)[None, :]
-    )
-
-
-def _head_counts(n_tosses: int) -> np.ndarray:
-    counts = np.zeros(2**n_tosses, dtype=int)
-    for j in range(2**n_tosses):
-        # bit 0 of the atom index toggles the last toss; H is the 0 bit
-        counts[j] = n_tosses - bin(j).count("1")
-    return counts
-
-
-def die_bias_matrix(thetas: np.ndarray, branch: str) -> np.ndarray:
-    thetas = np.asarray(thetas, dtype=float)
-    out = np.full((len(thetas), 6), 1 / 6)
-    lo, hi = 1.0 / 12.0 + thetas, 3.0 / 12.0 - thetas
-    if branch == "favor-2":
-        out[:, 0], out[:, 1] = lo, hi
-    elif branch == "favor-1":
-        out[:, 0], out[:, 1] = hi, lo
-    else:
-        raise ParamRangeError(f"branch must be one of {DIE_BRANCHES}, got {branch!r}")
+    Row j holds the ascending coefficients of theta^h (1 - theta)^(n - h),
+    h the number of heads in atom j, expanded by the binomial theorem.
+    Built once per n_tosses; the array is read-only and shared.
+    """
+    n = n_tosses
+    by_heads = np.zeros((n + 1, n + 1))
+    for h in range(n + 1):
+        for i in range(n - h + 1):
+            by_heads[h, h + i] = math.comb(n - h, i) * (-1) ** i
+    # bit 0 of the atom index toggles the last toss; H is the 0 bit
+    heads = [n - bin(j).count("1") for j in range(2**n)]
+    out = by_heads[heads]
+    out.flags.writeable = False
     return out
-

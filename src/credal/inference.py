@@ -31,7 +31,7 @@ from .sets import (
     LinearSystem,
     ParametricFamily,
     VertexSet,
-    _golden_min,
+    family_range,
     interval_to_linear_system,
 )
 from .spaces import Event, OutcomeSpace
@@ -43,7 +43,7 @@ MAX_FRAME_ATOMS = 20
 @dataclass(frozen=True)
 class Envelope:
     """Lower and upper probability of an event over a credal set, with
-    attaining (or, for families, near-attaining) members."""
+    attaining members."""
 
     event: Event
     lower: float
@@ -76,47 +76,8 @@ def envelope(S: CredalSet, e: Event) -> Envelope:
 
 
 def _family_envelope(fam: ParametricFamily, e: Event) -> Envelope:
-    best_lo = (math.inf, None, None)  # value, branch, scan point
-    best_hi = (-math.inf, None, None)
-    idx = list(e.indices)
-    any_member = False
-    for bi in range(len(fam.branches)):
-        svals, M = fam.scan_grid(bi)
-        if len(svals) == 0:
-            continue
-        any_member = True
-        vals = M[:, idx].sum(axis=1)
-        fn = fam.event_value_fn(bi, e)
-        for kind in ("min", "max"):
-            j = int(np.argmin(vals) if kind == "min" else np.argmax(vals))
-            a = svals[max(0, j - 1)]
-            b = svals[min(len(svals) - 1, j + 1)]
-            # keep whichever of the grid point and the refined point is better
-            if kind == "min":
-                s = _golden_min(fn, a, b)
-                v = fn(s)
-                if math.isnan(v) or vals[j] < v:
-                    s, v = svals[j], float(vals[j])
-                if v < best_lo[0]:
-                    best_lo = (v, bi, s)
-            else:
-                s = _golden_min(lambda t: -_neg_safe(fn(t)), a, b)
-                v = fn(s)
-                if math.isnan(v) or vals[j] > v:
-                    s, v = svals[j], float(vals[j])
-                if v > best_hi[0]:
-                    best_hi = (v, bi, s)
-    if not any_member:
-        raise EmptySetError("family has no members (conditioning removed all)")
-    lo_w = fam.member_at_scan(best_lo[1], best_lo[2])
-    hi_w = fam.member_at_scan(best_hi[1], best_hi[2])
-    lower = min(max(best_lo[0], 0.0), 1.0)
-    upper = min(max(best_hi[0], 0.0), 1.0)
-    return Envelope(e, lower, upper, lo_w, hi_w)
-
-
-def _neg_safe(v: float) -> float:
-    return v if math.isfinite(v) else -math.inf
+    lower, lo_w, upper, hi_w = family_range(fam, e.indicator())
+    return Envelope(e, min(max(lower, 0.0), 1.0), min(max(upper, 0.0), 1.0), lo_w, hi_w)
 
 
 def conditionalize(S: CredalSet, e: Event) -> CredalSet:
@@ -438,7 +399,7 @@ class MobiusReport:
 
 
 def lower_envelope_function(S: CredalSet) -> SetFunction:
-    """Lower envelope of every subset event (2**n LPs / scans)."""
+    """Lower envelope of every subset event (2**n envelope calls)."""
     space = S.space
     n = space.size
     if n > MAX_FRAME_ATOMS:

@@ -12,28 +12,31 @@ A credal set is one of three representations:
   closed generator registry, optionally composed with conditioning on
   an event. Generally nonconvex.
 
-Families are scanned in a transformed parameter when that keeps event
-probabilities polynomial (the independence-square family is scanned in
-sqrt(w)); grids are dense (step 1e-4) with golden-section refinement of
-bracketed extrema down to 1e-8.
+Families are evaluated in a scan parameter that keeps every atom
+probability a polynomial (the independence-square family is scanned in
+sqrt(w)). Family answers are exact: envelopes, bet verdicts,
+E-admissibility and membership are read off the member at each real root
+of a few polynomials built from the atom polynomials (see
+``ParametricFamily.critical_members``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .distributions import (
     DIE_BRANCHES,
     Distribution,
+    coin_atom_polys,
     condition_distribution,
     die_bias,
-    die_bias_matrix,
     die_space,
     iid_coin,
-    iid_coin_matrix,
     independent_square,
     make_distribution,
 )
@@ -49,7 +52,6 @@ from .spaces import Event, OutcomeSpace, coin_space
 from .tolerances import TAU_LP, TAU_NORM, TAU_ZERO
 
 GRID_STEP = 1e-4
-REFINE_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,11 +207,9 @@ class _GeneratorSpec:
     def to_theta(self, s: float) -> float:
         return s
 
-    def matrix_scan(self, svals: np.ndarray, params: dict) -> np.ndarray:
-        raise NotImplementedError
-
-    def atom_polys_scan(self, params: dict) -> list[np.ndarray]:
-        """Ascending coefficients of each atom probability in s."""
+    def atom_polys_scan(self, params: dict) -> np.ndarray:
+        """(atoms, degree + 1): ascending coefficients of each atom
+        probability in s."""
         raise NotImplementedError
 
     def validate(self, lo: float, hi: float, params: dict):
@@ -226,27 +226,14 @@ class _IidCoin(_GeneratorSpec):
     def point(self, theta, params):
         return iid_coin(theta, params.get("n_tosses", 2))
 
-    def matrix_scan(self, svals, params):
-        return iid_coin_matrix(svals, params.get("n_tosses", 2))
-
     def atom_polys_scan(self, params):
-        n = params.get("n_tosses", 2)
-        from numpy.polynomial import polynomial as P
-
-        heads = _atom_head_counts(n)
-        polys = []
-        for h in heads:
-            poly = np.array([1.0])
-            for _ in range(h):
-                poly = P.polymul(poly, [0.0, 1.0])
-            for _ in range(n - h):
-                poly = P.polymul(poly, [1.0, -1.0])
-            polys.append(poly)
-        return polys
+        return coin_atom_polys(params.get("n_tosses", 2))
 
 
-def _atom_head_counts(n: int) -> list[int]:
-    return [n - bin(j).count("1") for j in range(2**n)]
+_DIE_POLYS = {
+    "favor-2": np.array([[1 / 12, 1.0], [3 / 12, -1.0]] + [[1 / 6, 0.0]] * 4),
+    "favor-1": np.array([[3 / 12, -1.0], [1 / 12, 1.0]] + [[1 / 6, 0.0]] * 4),
+}
 
 
 class _DieBias(_GeneratorSpec):
@@ -258,16 +245,8 @@ class _DieBias(_GeneratorSpec):
     def point(self, theta, params):
         return die_bias(theta, params.get("branch", "favor-2"))
 
-    def matrix_scan(self, svals, params):
-        return die_bias_matrix(svals, params.get("branch", "favor-2"))
-
     def atom_polys_scan(self, params):
-        branch = params.get("branch", "favor-2")
-        lo = np.array([1.0 / 12.0, 1.0])
-        hi = np.array([3.0 / 12.0, -1.0])
-        first, second = (lo, hi) if branch == "favor-2" else (hi, lo)
-        polys = [first, second] + [np.array([1.0 / 6.0])] * 4
-        return polys
+        return _DIE_POLYS[params.get("branch", "favor-2")]
 
 
 class _IndependentSquare(_GeneratorSpec):
@@ -285,12 +264,9 @@ class _IndependentSquare(_GeneratorSpec):
     def to_theta(self, s):
         return s * s
 
-    def matrix_scan(self, svals, params):
-        # in s = sqrt(w) the family is exactly the two-toss coin family
-        return iid_coin_matrix(svals, 2)
-
     def atom_polys_scan(self, params):
-        return _IidCoin().atom_polys_scan({"n_tosses": 2})
+        # in s = sqrt(w) the family is exactly the two-toss coin family
+        return coin_atom_polys(2)
 
 
 GENERATORS: dict[str, _GeneratorSpec] = {
@@ -322,6 +298,12 @@ class FamilyBranch:
     def param_dict(self) -> dict:
         return dict(self.params)
 
+    @cached_property
+    def atom_forms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The atom polynomials about s = 0 and, in u = 1 - s, about s = 1."""
+        polys = self.spec.atom_polys_scan(self.param_dict)
+        return polys, polys @ _mirror(polys.shape[1])
+
 
 @dataclass(frozen=True)
 class ParametricFamily:
@@ -351,65 +333,81 @@ class ParametricFamily:
             d = condition_distribution(d, self.conditioning)
         return d
 
-    def scan_grid(self, branch_index: int, step: float = GRID_STEP):
-        """(scan values, member matrix) for one branch; conditioned rows are
-        renormalized on the event and zero-evidence rows masked out."""
-        b = self.branches[branch_index]
-        a, z = b.spec.scan_interval(b.lo, b.hi)
-        count = max(2, int(math.ceil((z - a) / step)) + 1)
-        svals = np.linspace(a, z, count)
-        M = b.spec.matrix_scan(svals, b.param_dict)
-        if self.conditioning is not None:
-            svals, M = _condition_rows(svals, M, self.conditioning)
-        return svals, M
-
     def member_at_scan(self, branch_index: int, s: float) -> Distribution:
         b = self.branches[branch_index]
         return self.member(branch_index, b.spec.to_theta(s))
 
-    def event_value_fn(self, branch_index: int, event: Event):
-        """Scalar map s -> member probability of event (after conditioning)."""
-        idx = list(event.indices)
+    def scan_grid(self, branch_index: int, step: float = GRID_STEP):
+        """(scan values, member matrix) on a uniform grid over one branch;
+        conditioned rows are renormalized on the event and zero-evidence
+        rows masked out. For inspection only: every family answer of the
+        library comes from ``critical_members``."""
         b = self.branches[branch_index]
-        cond = self.conditioning
+        a, z = b.spec.scan_interval(b.lo, b.hi)
+        count = max(2, int(math.ceil((z - a) / step)) + 1)
+        return self._members_at(branch_index, np.linspace(a, z, count))
 
-        def fn(s: float) -> float:
-            row = b.spec.matrix_scan(np.array([s]), b.param_dict)[0]
-            if cond is not None:
-                pe = row[list(cond.indices)].sum()
-                if pe <= TAU_ZERO:
-                    return math.nan
-                masked = np.zeros_like(row)
-                masked[list(cond.indices)] = row[list(cond.indices)] / pe
-                row = masked
-            return float(row[idx].sum())
+    def critical_members(
+        self,
+        branch_index: int,
+        levels: np.ndarray | None = None,
+        ratios: np.ndarray | None = None,
+    ):
+        """(scan values, member matrix) at every point of one branch where
+        a family answer can be decided exactly.
 
-        return fn
+        Each row w of ``levels`` or ``ratios`` weights the atoms, giving
+        the numerator N = w . P of a member functional N / D, with P the
+        atom polynomials restricted to the conditioning event and D their
+        sum (D = 1 when unconditioned). The points are the interval ends,
+        the ends of the parts where D > TAU_ZERO, the real roots of every
+        level numerator N (where N / D changes sign) and of N'D - N D' for
+        every ratio numerator (where N / D is stationary), and the midpoint
+        between each pair of neighbours. Any functional whose pieces are
+        those ratios therefore attains its extrema, and takes every sign
+        pattern it has, at one of these points.
+        """
+        b = self.branches[branch_index]
+        a, z = b.spec.scan_interval(b.lo, b.hi)
+        ev = None if self.conditioning is None else self.conditioning.indicator()
+        # points s <= 1/2 are solved in s, the rest in u = 1 - s
+        forms = [f for f, used in ((0, a <= 0.5), (1, z > 0.5)) if used]
+        blocks = [_critical_polys(b.atom_forms[f], ev, levels, ratios) for f in forms]
+        found, t = _real_roots(_stack([polys for polys, _ in blocks]))
+        flip = np.concatenate([np.full(len(p), f) for f, (p, _) in zip(forms, blocks)])[found]
+        edge = np.concatenate([e for _, e in blocks])[found]
+        roots = np.where(flip == 1, 1.0 - t, t)[t <= 0.5]
+        # an end of the parts with evidence may fall between two floats
+        e = roots[edge[t <= 0.5]]
+        # 0 and 1 stand for the roots divided out at the origin of each
+        # form, and 1/2 is where the forms meet
+        s = np.unique(np.concatenate(
+            [[a, z, 0.0, 0.5, 1.0], roots, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)]
+        ))
+        s = s[(s >= a) & (s <= z)]
+        return self._members_at(branch_index, np.concatenate([s, (s[1:] + s[:-1]) / 2]))
+
+    def _members_at(self, branch_index: int, s: np.ndarray):
+        M = _atoms_at(self.branches[branch_index].atom_forms, s)
+        if self.conditioning is None:
+            return s, M
+        idx = list(self.conditioning.indices)
+        pe = M[:, idx].sum(axis=1)
+        keep = pe > TAU_ZERO
+        out = np.zeros_like(M[keep])
+        out[:, idx] = M[keep][:, idx] / pe[keep][:, None]
+        return s[keep], out
 
     def contains(self, d: Distribution, tol: float = 1e-9) -> bool:
         """Whether some branch point coincides with d within sup-norm tol."""
         if d.space != self.space:
             raise SpaceMismatchError("distribution is over a different space")
+        n = self.space.size
+        eye = np.eye(n)
+        levels = np.concatenate([eye - (d.probs + tol)[:, None], eye - (d.probs - tol)[:, None]])
         for bi in range(len(self.branches)):
-            svals, M = self.scan_grid(bi)
-            if len(svals) == 0:
-                continue
-            dist = np.abs(M - d.probs[None, :]).max(axis=1)
-            j = int(np.argmin(dist))
-            lo = svals[max(0, j - 1)]
-            hi = svals[min(len(svals) - 1, j + 1)]
-
-            def gap(s, bi=bi):
-                try:
-                    member = self.member_at_scan(bi, s)
-                except ZeroEvidenceError:
-                    return math.inf
-                return float(np.abs(member.probs - d.probs).max())
-
-            refined = _golden_min(gap, lo, hi)
-            # the refinement bracket may narrow onto a point a hair off
-            # an exact grid hit, so keep the better of the two
-            if min(gap(refined), float(dist[j])) <= tol:
+            _, M = self.critical_members(bi, levels=levels)
+            if len(M) and float(np.abs(M - d.probs).max(axis=1).min()) <= tol:
                 return True
         return False
 
@@ -430,43 +428,172 @@ class ParametricFamily:
         return out
 
 
-def _condition_rows(svals: np.ndarray, M: np.ndarray, event: Event):
-    idx = list(event.indices)
-    pe = M[:, idx].sum(axis=1)
-    keep = pe > TAU_ZERO
-    out = np.zeros_like(M[keep])
-    out[:, idx] = M[keep][:, idx] / pe[keep][:, None]
-    return svals[keep], out
+def family_range(fam: ParametricFamily, weights: np.ndarray):
+    """(lowest, member attaining it, highest, member attaining it) of
+    weights . p over the members of fam, decided exactly."""
+    weights = np.asarray(weights, dtype=float)
+    best = []
+    for bi in range(len(fam.branches)):
+        s, M = fam.critical_members(bi, ratios=weights[None, :])
+        if len(s):
+            vals = M @ weights
+            lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
+            best.append((vals[lo], bi, s[lo], vals[hi], s[hi]))
+    if not best:
+        raise EmptySetError("family has no members (conditioning removed all)")
+    low = min(best, key=lambda r: r[0])
+    high = max(best, key=lambda r: r[3])
+    return (
+        float(low[0]), fam.member_at_scan(low[1], float(low[2])),
+        float(high[3]), fam.member_at_scan(high[1], float(high[4])),
+    )
 
 
-def _golden_min(fn, a: float, b: float, tol: float = REFINE_TOL) -> float:
-    """Golden-section minimum of fn on [a, b]; fn may return nan (treated
-    as +inf)."""
-    inv = 0.6180339887498949
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
-    f1, f2 = _finite(fn(x1)), _finite(fn(x2))
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv * (b - a)
-            f1 = _finite(fn(x1))
+# --- exact family kernel ---------------------------------------------------
+#
+# Atom polynomials are kept in two forms: about s = 0, and in u = 1 - s
+# about s = 1. Coin atoms theta^h (1 - theta)^(n - h) vanish only at 0
+# and 1; expanded about the far end, a high-order zero is lost to
+# cancellation (the terms of (1 - theta)^k near theta = 1), while the form
+# about the near end keeps full relative accuracy. Points with s <= 1/2
+# are therefore handled in the first form and the rest in the second.
+
+# leading coefficients below this share of a row's largest are rounding
+# left by cancellation, not a genuine degree
+_LEAD_TOL = 1e-13
+# a double root is computed as a complex pair about sqrt(eps) off the axis
+_IMAG_TOL = 1e-7
+# the parts with evidence are cut a hair inside D = TAU_ZERO, so that
+# the cut point itself has evidence; near the cut D is a sum of terms of
+# one sign, evaluated to a few ulps
+_EDGE = TAU_ZERO * (1.0 + 1e-11)
+
+
+@lru_cache(maxsize=32)
+def _mirror(width: int) -> np.ndarray:
+    """T with (c @ T) the coefficients of p(1 - u) in u, for c those of p(s)."""
+    return np.array(
+        [[math.comb(i, k) * (-1) ** k for k in range(width)] for i in range(width)],
+        dtype=float,
+    )
+
+
+def _atoms_at(forms, s: np.ndarray) -> np.ndarray:
+    """(points, atoms) atom probabilities, each point in its own form."""
+    out = np.empty((len(s), forms[0].shape[0]))
+    low = s <= 0.5
+    out[low] = P.polyval(s[low], forms[0].T).T
+    out[~low] = P.polyval(1.0 - s[~low], forms[1].T).T
+    return out
+
+
+def _polymul_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros((A.shape[0], A.shape[1] + len(b) - 1))
+    for j, bj in enumerate(b):
+        out[:, j : j + A.shape[1]] += A * bj
+    return out
+
+
+def _derivative_rows(A: np.ndarray) -> np.ndarray:
+    return A[:, 1:] * np.arange(1, A.shape[1])
+
+
+def _critical_polys(form, ev, levels, ratios):
+    """The polynomials, in one form, whose roots are candidate points, and
+    a mask of the one that bounds the parts with evidence."""
+    restricted = form if ev is None else form * ev[:, None]
+    polys = []
+    if levels is not None:
+        polys.append(levels @ restricted)
+    if ratios is not None:
+        N = ratios @ restricted
+        if ev is None:
+            polys.append(_derivative_rows(N))
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (b - a)
-            f2 = _finite(fn(x2))
-    return (a + b) / 2.0
+            D = restricted.sum(axis=0)
+            dD = _derivative_rows(D[None, :])[0]
+            polys.append(_polymul_rows(_derivative_rows(N), D) - _polymul_rows(N, dD))
+    if ev is not None:
+        edge = restricted.sum(axis=0)
+        edge[0] -= _EDGE
+        polys.append(edge[None, :])
+    stacked = _stack(polys)
+    is_edge = np.zeros(len(stacked), dtype=bool)
+    is_edge[-1:] = ev is not None
+    return stacked, is_edge
 
 
-def _finite(v: float) -> float:
-    return v if math.isfinite(v) else math.inf
+def _pad(A: np.ndarray, width: int) -> np.ndarray:
+    if A.shape[1] >= width:
+        return A
+    return np.pad(A, ((0, 0), (0, width - A.shape[1])))
+
+
+def _stack(blocks) -> np.ndarray:
+    blocks = [b for b in blocks if len(b)]
+    if not blocks:
+        return np.zeros((0, 1))
+    width = max(b.shape[1] for b in blocks)
+    return np.concatenate([_pad(b, width) for b in blocks])
+
+
+def _real_roots(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row index, root) of the real roots of each row of C (ascending
+    coefficients), from one eigenvalue call over companion matrices padded
+    to a common degree. Roots at 0 are not reported; callers keep 0 as a
+    candidate of its own."""
+    mag = np.abs(C)
+    big = mag > _LEAD_TOL * mag.max(axis=1, keepdims=True)
+    width = C.shape[1]
+    top = width - 1 - np.argmax(big[:, ::-1], axis=1)
+    low = np.argmax(C != 0, axis=1)  # exact roots at 0, divided out
+    deg = np.where(big.any(axis=1), top - low, 0)
+    rows = np.nonzero(deg >= 1)[0]
+    if not len(rows):
+        return np.zeros(0, dtype=int), np.zeros(0)
+    deg, low = deg[rows], low[rows]
+    n = int(deg.max())
+    k = np.arange(n)
+    shifted = np.take_along_axis(C[rows], np.minimum(low[:, None] + np.arange(n + 1), width - 1), axis=1)
+    lead = shifted[np.arange(len(rows)), deg]
+    inside = k[None, :] < deg[:, None]
+    comp = np.zeros((len(rows), n, n))
+    comp[:, k[1:], k[:-1]] = inside[:, 1:]
+    comp[np.arange(len(rows))[:, None], k[None, :], (deg - 1)[:, None]] = np.where(
+        inside, -shifted[:, :n] / lead[:, None], 0.0
+    )
+    eig = np.linalg.eigvals(comp[:, ::-1, ::-1])
+    real = np.abs(eig.imag) <= _IMAG_TOL
+    found = np.broadcast_to(rows[:, None], eig.shape)[real]
+    return found, _polish(C[found], eig.real[real])
+
+
+def _horner(C: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row i of C evaluated at x[i]."""
+    out = np.zeros(len(x))
+    for c in C.T[::-1]:
+        out = out * x + c
+    return out
+
+
+def _polish(C: np.ndarray, r: np.ndarray, steps: int = 2) -> np.ndarray:
+    """Newton steps on each root r[i] of row C[i], kept only where they
+    shrink the residual. The eigenvalues carry an error relative to the
+    largest coefficient, which swamps a root near 1e-13 (where the
+    evidence of an end atom crosses TAU_ZERO); Horner's residual near 0
+    is accurate to the size of the terms."""
+    dC = C[:, 1:] * np.arange(1, C.shape[1])
+    f = _horner(C, r)
+    for _ in range(steps):
+        df = _horner(dC, r)
+        trial = r - np.divide(f, df, out=np.zeros_like(f), where=df != 0)
+        f_trial = _horner(C, trial)
+        better = np.abs(f_trial) < np.abs(f)
+        r, f = np.where(better, trial, r), np.where(better, f_trial, f)
+    return r
 
 
 CredalSet = VertexSet | LinearSystem | ParametricFamily
-
-
-def credal_space(s: CredalSet) -> OutcomeSpace:
-    return s.space
 
 
 def coin_family(p_lo: float, p_hi: float, n_tosses: int = 2) -> ParametricFamily:

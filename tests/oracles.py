@@ -70,3 +70,122 @@ def mobius_by_subset_sums(bel):
                 total += (-1) ** (len(A) - r) * bel[frozenset(B)]
         m[A] = total
     return m
+
+
+# --- parametric families -------------------------------------------------
+#
+# Members are written from their closed forms, never through the package's
+# polynomial kernel or ParametricFamily.scan_grid: the coin atom with h
+# heads is theta^h (1 - theta)^(n - h), the die rows trade 1/12 +- eps
+# between faces 1 and 2, and the independence square is the two-toss coin
+# in s = sqrt(w).
+
+FAMILY_GRID_STEP = 1e-4
+TAU_EVIDENCE = 1e-12
+
+
+def _closing_in(point, direction, a, z):
+    """Points from point toward direction, geometrically closer to point."""
+    pts = point + direction * np.geomspace(1e-16, FAMILY_GRID_STEP, 400)
+    return pts[(pts >= a) & (pts <= z)]
+
+
+def _grid_points(a, z, step=FAMILY_GRID_STEP):
+    """A uniform grid over [a, z] that closes in on each end."""
+    grid = np.linspace(a, z, max(2, int(np.ceil((z - a) / step)) + 1))
+    return np.unique(np.concatenate([grid, _closing_in(a, 1, a, z), _closing_in(z, -1, a, z)]))
+
+
+def _evidence_edges(evidence, s):
+    """Points closing in on each place where evidence(s) crosses
+    TAU_EVIDENCE between neighbouring grid points, found by bisection."""
+    has = evidence(s) > TAU_EVIDENCE
+    out = []
+    for i in np.nonzero(has[1:] != has[:-1])[0]:
+        bad, good = (s[i], s[i + 1]) if has[i + 1] else (s[i + 1], s[i])
+        for _ in range(200):
+            mid = (bad + good) / 2
+            if mid in (bad, good):
+                break
+            if evidence(np.array([mid]))[0] > TAU_EVIDENCE:
+                good = mid
+            else:
+                bad = mid
+        out.append(_closing_in(good, np.sign(good - bad), s[0], s[-1]))
+        out.append([good])
+    return np.concatenate([s, *out])
+
+
+def _closed_form_rows(generator, params, atoms, s):
+    if generator == "iid-coin":
+        n = params.get("n_tosses", 2)
+        h = np.arange(n + 1)
+        by_heads = s[:, None] ** h * (1.0 - s[:, None]) ** (n - h)
+        return by_heads[:, [label.count("H") for label in atoms]]
+    if generator == "die-bias":
+        rows = np.full((len(s), 6), 1.0 / 6.0)
+        low, high = 1.0 / 12.0 + s, 3.0 / 12.0 - s
+        if params.get("branch", "favor-2") == "favor-2":
+            rows[:, 0], rows[:, 1] = low, high
+        else:
+            rows[:, 0], rows[:, 1] = high, low
+        return rows
+    assert generator == "independent-square"
+    t = 1.0 - s
+    return np.stack([s * s, s * t, s * t, t * t], axis=1)
+
+
+def family_grid(fam, chunk=512):
+    """Yield chunks of member rows of every branch of fam on the grid;
+    conditioned rows are renormalized and zero-evidence rows dropped."""
+    atoms = fam.space.atoms
+    mask = None
+    if fam.conditioning is not None:
+        mask = np.zeros(len(atoms), dtype=bool)
+        mask[list(fam.conditioning.indices)] = True
+    for b in fam.branches:
+        lo, hi = b.lo, b.hi
+        if b.generator == "independent-square":
+            lo, hi = np.sqrt(lo), np.sqrt(hi)
+
+        def rows_at(s, b=b):
+            rows = _closed_form_rows(b.generator, dict(b.params), atoms, s)
+            return rows if mask is None else rows * mask
+
+        s = _grid_points(lo, hi)
+        if mask is not None:
+            s = np.unique(_evidence_edges(lambda x: rows_at(x).sum(axis=1), s))
+        for start in range(0, len(s), chunk):
+            rows = rows_at(s[start : start + chunk])
+            if mask is not None:
+                pe = rows.sum(axis=1)
+                keep = pe > TAU_EVIDENCE
+                rows = rows[keep] / pe[keep, None]
+            if len(rows):
+                yield rows
+
+
+def grid_range(fam, weights):
+    """(min, max) of weights . p over the grid members; None if empty."""
+    lo, hi = np.inf, -np.inf
+    for rows in family_grid(fam):
+        vals = rows @ weights
+        lo, hi = min(lo, vals.min()), max(hi, vals.max())
+    return None if lo == np.inf else (float(lo), float(hi))
+
+
+def grid_margins(fam, U):
+    """Per action, the largest eu_a - max_b eu_b over the grid members."""
+    best = np.full(U.shape[0], -np.inf)
+    for rows in family_grid(fam):
+        eu = rows @ U.T
+        best = np.maximum(best, (eu - eu.max(axis=1, keepdims=True)).max(axis=0))
+    return best
+
+
+def grid_distance(fam, d):
+    """Smallest sup-norm distance from d to a grid member."""
+    best = np.inf
+    for rows in family_grid(fam):
+        best = min(best, float(np.abs(rows - d).max(axis=1).min()))
+    return best

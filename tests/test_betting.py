@@ -108,7 +108,6 @@ def test_booked_over_coin_family(book):
     assert verdict.verdict == "BOOKED"
     assert verdict.max_agent_expectation == pytest.approx(0.0, abs=1e-9)
     assert verdict.min_agent_expectation == pytest.approx(-10.0, abs=1e-9)
-    assert verdict.exact
 
 
 def test_booked_single_point_strictly_negative(book):
@@ -178,12 +177,20 @@ def test_booked_constant_zero_linear_system(two_tosses):
     assert not verdict.booked  # expectation is identically ~0 on the set
 
 
-def test_booked_grid_path_for_conditioned_family(book, two_tosses):
+def test_booked_conditioned_family_matches_polynomial(book, two_tosses):
     fam = conditionalize(coin_family(0.1, 0.5), Event.full(two_tosses))
     verdict = booked_in_expectation(book, fam)
-    assert not verdict.exact
+    poly = expectation_polynomial(book)  # antagonist side: the agent's is -poly
     assert verdict.booked
-    assert verdict.max_agent_expectation <= 1e-6
+    assert verdict.max_agent_expectation == pytest.approx(
+        -poly.extremum_on(0.1, 0.5, "min")[0], abs=1e-12
+    )
+    assert verdict.min_agent_expectation == pytest.approx(
+        -poly.extremum_on(0.1, 0.5, "max")[0], abs=1e-12
+    )
+    assert -expectation_under(book, verdict.witness) == pytest.approx(
+        verdict.max_agent_expectation, abs=1e-12
+    )
 
 
 def test_scaling_preserves_verdict_and_scales_polynomial(book):

@@ -86,6 +86,18 @@ def test_examples_run_all_exits_zero(capsys):
     assert "checks passed" in out
 
 
+def test_examples_run_all_runs_each_case_once(monkeypatch, capsys):
+    from credal import cases
+
+    calls = []
+    run_case = cases.run_case
+    monkeypatch.setattr(cases, "run_case", lambda name: calls.append(name) or run_case(name))
+    assert main(["examples", "run", "--all"]) == 0
+    assert sorted(calls) == sorted(cases.REGISTRY)
+    total = sum(len(run_case(name)) for name in cases.REGISTRY)
+    assert capsys.readouterr().out.endswith(f"{total}/{total} checks passed\n")
+
+
 def test_examples_unknown_name_is_usage_error(capsys):
     assert main(["examples", "run", "nope"]) == 2
 

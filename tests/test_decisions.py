@@ -80,7 +80,6 @@ def test_hull_admissibility_constraint_system(matrix3, states3, opinions):
     )
     rep = e_admissible(matrix3, system)
     assert rep.admissible_actions == ("a1", "a2", "a3")
-    assert rep.exact
     mid = mixture([0.5, 0.5], list(opinions))
     assert optimal_actions(mid, matrix3) == ("a2",)
 
@@ -102,16 +101,19 @@ def test_single_action_always_admissible(states3, opinions):
     assert e_admissible(U, VertexSet(opinions)).admissible_actions == ("only",)
 
 
-def test_family_admissibility_flags_approximate(two_tosses):
+def test_family_admissibility_witness_attains_tie(two_tosses):
+    # eu(heads) - eu(tails) = 8p - 4: heads-bet is optimal only at p = 1/2,
+    # the upper end of the range
     U = UtilityMatrix(
         ("heads-bet", "tails-bet"), two_tosses, [[4, 1, 1, 0], [0, 1, 1, 4]]
     )
     rep = e_admissible(U, coin_family(0.1, 0.5))
-    assert not rep.exact
-    assert rep.resolution == pytest.approx(1e-8)
     assert rep.admissible_actions == ("heads-bet", "tails-bet")
     w = rep.entry("heads-bet").witness
-    assert expected_utility("heads-bet", w, U) >= expected_utility("tails-bet", w, U) - 1e-8
+    assert w.allclose(iid_coin(0.5, 2), tol=1e-12)
+    assert expected_utility("heads-bet", w, U) == pytest.approx(
+        expected_utility("tails-bet", w, U), abs=1e-12
+    )
 
 
 def test_family_admissibility_excludes_never_optimal(two_tosses):

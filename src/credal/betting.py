@@ -21,9 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .distributions import Distribution, coin_atom_polys, independent_square, make_distribution
+from .distributions import Distribution, coin_atom_polys, independent_square
 from .errors import EmptySetError, SpaceMismatchError, UnsupportedFamilyError
-from .sets import CredalSet, LinearSystem, ParametricFamily, VertexSet, family_range
+from .sets import (
+    CredalSet,
+    LinearSystem,
+    ParametricFamily,
+    VertexSet,
+    _member_from_witness,
+    family_range,
+)
 from .spaces import Event, OutcomeSpace
 from .tolerances import TAU_LP, TAU_STRICT
 
@@ -228,13 +235,11 @@ def booked_in_expectation(book: BetBook, S: CredalSet) -> BookedVerdict:
         agent = payoff_table(book).agent
         top = S.optimize(agent, "max")
         bottom = S.optimize(agent, "min")
-        w = np.clip(top.witness, 0.0, None)
-        witness = make_distribution(S.space, w / w.sum())
         return BookedVerdict(
             booked=top.value <= TAU_LP and bottom.value < -TAU_STRICT,
             max_agent_expectation=float(top.value),
             min_agent_expectation=float(bottom.value),
-            witness=witness,
+            witness=_member_from_witness(S.space, top.witness),
         )
 
     if isinstance(S, ParametricFamily):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, make_distribution, mixture
+from .distributions import Distribution
 from .errors import (
     EmptyGroupError,
     EmptySetError,
@@ -21,7 +21,7 @@ from .errors import (
     UnknownActionError,
 )
 from .linprog import LinearProgram, constraint, solve
-from .sets import CredalSet, LinearSystem, ParametricFamily, VertexSet
+from .sets import CredalSet, LinearSystem, ParametricFamily, VertexSet, _member_from_witness
 from .spaces import OutcomeSpace
 from .tolerances import TAU_LP
 
@@ -116,22 +116,7 @@ def e_admissible(U: UtilityMatrix, S: CredalSet, tol: float = TAU_LP) -> Admissi
         )
 
     if isinstance(S, LinearSystem):
-        entries = []
-        for ai, a in enumerate(U.actions):
-            rows = list(S.full_constraints())
-            for bi in range(len(U.actions)):
-                if bi != ai:
-                    rows.append(constraint(U.u[ai] - U.u[bi], ">=", 0.0))
-            res = solve(LinearProgram(S.space.size, tuple(rows), sense="feasibility"))
-            if res.status == "OPTIMAL":
-                w = np.clip(res.witness, 0.0, None)
-                member = make_distribution(S.space, w / w.sum())
-                entries.append(ActionAdmissibility(a, True, member))
-            else:
-                entries.append(
-                    ActionAdmissibility(a, False, certificate=res.infeasibility)
-                )
-        return AdmissibilityReport(tuple(entries))
+        return _lp_admissible(U, S.full_constraints(), np.eye(S.space.size))
 
     if isinstance(S, ParametricFamily):
         return _family_admissible(U, S, tol)
@@ -184,19 +169,23 @@ def e_admissible_over_hull(
     space = members[0].space
     if space != U.space:
         raise SpaceMismatchError("members are over a different space")
-    EU = np.array([[expected_utility(a, p, U) for p in members] for a in U.actions])
-    k = len(members)
+    V = np.stack([p.probs for p in members])
+    return _lp_admissible(U, (constraint(np.ones(len(members)), "=", 1.0),), V)
+
+
+def _lp_admissible(U: UtilityMatrix, rows, V: np.ndarray) -> AdmissibilityReport:
+    """E-admissibility over the members V.T @ x, for x >= 0 meeting rows:
+    an action is admissible iff the region where it is best is feasible."""
+    EU = U.u @ V.T  # actions x LP variables
     entries = []
     for ai, a in enumerate(U.actions):
-        rows = [constraint(np.ones(k), "=", 1.0)]
-        for bi in range(len(U.actions)):
-            if bi != ai:
-                rows.append(constraint(EU[ai] - EU[bi], ">=", 0.0))
-        res = solve(LinearProgram(k, tuple(rows), sense="feasibility"))
+        best = tuple(
+            constraint(EU[ai] - EU[bi], ">=", 0.0) for bi in range(len(U.actions)) if bi != ai
+        )
+        res = solve(LinearProgram(len(V), rows + best, sense="feasibility"))
         if res.status == "OPTIMAL":
-            lam = np.clip(res.witness, 0.0, None)
-            lam = lam / lam.sum()
-            entries.append(ActionAdmissibility(a, True, mixture(lam, members)))
+            member = _member_from_witness(U.space, V.T @ res.witness)
+            entries.append(ActionAdmissibility(a, True, member))
         else:
             entries.append(ActionAdmissibility(a, False, certificate=res.infeasibility))
     return AdmissibilityReport(tuple(entries))

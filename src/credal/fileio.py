@@ -9,7 +9,8 @@ Credal set forms (inside problem and decision files):
     {"vertices": [name-or-vector, ...]}
     {"constraints": [{"coeffs": [...], "rel": "<="|"="|">=", "rhs": r}, ...]}
     {"intervals": name-or-{"lo": [...], "hi": [...]}}
-    {"family": {"branches": [{"generator": g, "lo": a, "hi": b, "params": {...}}, ...]}}
+    {"family": {"branches": [{"generator": g, "lo": a, "hi": b, "params": {...}}, ...],
+                "conditioning": [atoms] | null}}
 
 Decision files add {"utilities": {"actions": [...], "matrix": [[...]]},
 "credal": <form>, "members": [name, ...]}; pooling files use
@@ -182,7 +183,17 @@ def credal_from_obj(obj, problem: ProblemFile) -> CredalSet:
             )
         fam = ParametricFamily(tuple(branches))
         _expect(fam.space == space, "family space does not match the file's space")
-        return fam
+        atoms = obj["family"].get("conditioning")
+        if atoms is None:
+            return fam
+        _expect(
+            isinstance(atoms, list) and all(isinstance(a, str) for a in atoms),
+            "family conditioning must be a list of atoms",
+        )
+        try:
+            return ParametricFamily(fam.branches, Event.of(space, *atoms))
+        except (KeyError, ValueError) as ex:
+            raise ParseError(f"family conditioning: {ex.args[0]}") from ex
     raise ParseError(
         "credal set form needs one of: vertices, constraints, intervals, family"
     )

@@ -31,6 +31,7 @@ from .sets import (
     LinearSystem,
     ParametricFamily,
     VertexSet,
+    _member_from_witness,
     family_range,
     interval_to_linear_system,
 )
@@ -64,13 +65,13 @@ def envelope(S: CredalSet, e: Event) -> Envelope:
         ind = e.indicator()
         lo = S.optimize(ind, "min")
         hi = S.optimize(ind, "max")
-        from .distributions import make_distribution
-
-        def as_dist(w):
-            w = np.clip(w, 0.0, None)
-            return make_distribution(S.space, w / w.sum())
-
-        return Envelope(e, float(lo.value), float(hi.value), as_dist(lo.witness), as_dist(hi.witness))
+        return Envelope(
+            e,
+            float(lo.value),
+            float(hi.value),
+            _member_from_witness(S.space, lo.witness),
+            _member_from_witness(S.space, hi.witness),
+        )
 
     return _family_envelope(S, e)
 
@@ -469,12 +470,8 @@ def _set_equals_core(S: CredalSet, bel: np.ndarray, is_belief: bool) -> bool | N
         vertices = _core_vertices(core, bel, is_belief)
         if vertices is None:
             return None
-        from .distributions import make_distribution
-
         for v in vertices:
-            vv = np.clip(v, 0.0, None)
-            d = make_distribution(space, vv / vv.sum())
-            if not hull_membership(d, list(S.vertices)).inside:
+            if not hull_membership(_member_from_witness(space, v), list(S.vertices)).inside:
                 return False
         return True
 

@@ -4,12 +4,22 @@ A small two-phase tableau simplex for the tiny programs that arise from
 credal sets (at most dozens of variables). Variables are nonnegative;
 callers split free variables. Dantzig pricing switches to Bland's rule
 after an iteration threshold so degenerate programs cannot cycle.
+
+``PreparedLp`` is the one kernel path. It stacks the rows of a program
+once into arrays: A, b and a per-row sign (+1 for <=, 0 for =, -1 for
+>=). Phase 1 runs on the rows equilibrated, each row and its rhs divided
+by the row's largest |coefficient|, so that the absolute pivot and
+phase-1 tolerances mean the same thing at every row scale; the reported
+phase-1 residual is in those units. Every witness is checked against the
+rows as given, at 10 * TAU_LP, with one matrix-vector product.
+``solve`` prepares a program and optimizes it once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -81,24 +91,24 @@ def constraint(coeffs, relation: str, rhs: float) -> Constraint:
 
 
 class _Tableau:
-    """Simplex tableau: rows are equality constraints, col -1 is the rhs."""
+    """Simplex tableau: rows are equality constraints, col -1 is the rhs;
+    ``basis`` holds the basic column of each row."""
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, basis: list[int]):
-        self.T = np.hstack([A, b[:, None]])
+    def __init__(self, T: np.ndarray, basis: np.ndarray):
+        self.T = T
         self.basis = basis
 
-    def solution(self, n: int) -> np.ndarray:
+    def copy(self) -> _Tableau:
+        return _Tableau(self.T.copy(), self.basis.copy())
+
+    def solution(self) -> np.ndarray:
         x = np.zeros(self.T.shape[1] - 1)
-        for row, col in enumerate(self.basis):
-            x[col] = self.T[row, -1]
-        return x[:n]
+        x[self.basis] = self.T[:, -1]
+        return x
 
     def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
-        z = cost.astype(float).copy()
-        for row, col in enumerate(self.basis):
-            if abs(z[col]) > 0.0:
-                z -= z[col] * self.T[row, :-1]
-        return z
+        # basis columns are unit vectors, so pricing them out is one product
+        return cost - cost[self.basis] @ self.T[:, :-1]
 
     def pivot(self, row: int, col: int):
         T = self.T
@@ -109,21 +119,18 @@ class _Tableau:
         self.basis[row] = col
 
 
-def _run_simplex(tab: _Tableau, cost: np.ndarray, allowed_cols, bland_after: int,
-                 max_iter: int) -> str:
+def _run_simplex(tab: _Tableau, cost: np.ndarray, bland_after: int, max_iter: int) -> str:
     """Minimize cost over the tableau in place. Returns OPTIMAL or UNBOUNDED.
 
     The reduced-cost row is appended as an extra tableau row so pivots
     keep it current; it is stripped again before returning.
     """
-    allowed = np.zeros(tab.T.shape[1] - 1, dtype=bool)
-    allowed[list(allowed_cols)] = True
     m = tab.T.shape[0]
     tab.T = np.vstack([tab.T, np.append(tab.reduced_costs(cost), 0.0)])
     try:
         for it in range(max_iter):
             z = tab.T[-1, :-1]
-            candidates = np.where(allowed & (z < -TAU_LP))[0]
+            candidates = np.flatnonzero(z < -TAU_LP)
             if candidates.size == 0:
                 return "OPTIMAL"
             if it < bland_after:
@@ -131,87 +138,84 @@ def _run_simplex(tab: _Tableau, cost: np.ndarray, allowed_cols, bland_after: int
             else:
                 enter = candidates[0]  # Bland: smallest index
             col = tab.T[:m, enter]
-            rows = np.where(col > PIVOT_TOL)[0]
+            rows = np.flatnonzero(col > PIVOT_TOL)
             if rows.size == 0:
                 return "UNBOUNDED"
             ratios = tab.T[rows, -1] / col[rows]
-            best = ratios.min()
-            tied = rows[ratios <= best + TAU_ZERO]
+            tied = rows[ratios <= ratios.min() + TAU_ZERO]
             # smallest basis index among ties keeps Bland's rule intact
-            leave = tied[np.argmin([tab.basis[r] for r in tied])]
+            leave = tied[np.argmin(tab.basis[tied])]
             tab.pivot(leave, enter)
         raise NumericalFailureError(f"simplex exceeded {max_iter} iterations")
     finally:
         tab.T = tab.T[:-1]
 
 
+_SIGN = {"<=": 1.0, "=": 0.0, ">=": -1.0}
+
+
+def _stack(n_vars: int, constraints: tuple[Constraint, ...]):
+    """The rows as arrays: (A, b, sign), sign +1 for <=, 0 for =, -1 for >=."""
+    A = np.array([c.coeffs for c in constraints], dtype=float).reshape(-1, n_vars)
+    b = np.array([c.rhs for c in constraints], dtype=float)
+    sign = np.array([_SIGN[c.relation] for c in constraints])
+    return A, b, sign
+
+
+def _violation(rows, x: np.ndarray) -> np.ndarray:
+    """By how much x breaks each stacked row (<= 0 where it holds)."""
+    A, b, sign = rows
+    r = A @ x - b
+    return np.where(sign == 0, np.abs(r), sign * r)
+
+
 class PreparedLp:
     """A constraint set with phase 1 already run, reusable across
     objectives.
 
-    Building one runs phase 1 and drives artificials out; ``optimize``
-    then copies the feasible tableau and runs phase 2 only. Instances
-    are immutable after construction and safe to share.
+    Building one stacks the rows, runs phase 1 on them equilibrated and
+    drives artificials out; ``optimize`` then copies the feasible tableau
+    and runs phase 2 only. Instances are immutable after construction and
+    safe to share.
     """
 
     def __init__(self, n_vars: int, constraints: tuple[Constraint, ...]):
-        self.n_vars = n_vars
-        self.constraints = constraints
-        m = len(constraints)
-        n = n_vars
-        rows = []
-        for c in constraints:
-            coeffs, rel, rhs = c.coeffs.copy(), c.relation, c.rhs
-            if rhs < 0:
-                coeffs, rhs = -coeffs, -rhs
-                rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-            rows.append((coeffs, rel, rhs))
+        self.n_vars = n = n_vars
+        self._rows = A, b, sign = _stack(n, constraints)  # as given, for witness checks
+        m = len(b)
+        # equilibrate: each row (and its rhs) over its largest |coefficient|,
+        # negated where that makes the rhs nonnegative
+        flip = np.where(b < 0, -1.0, 1.0)
+        largest = np.abs(A).max(axis=1, initial=0.0)
+        scale = flip / np.where(largest > 0, largest, 1.0)
+        sign = sign * flip
+        # one slack per inequality; artificials where no +1 slack can start basic
+        slack = np.flatnonzero(sign)
+        art = np.flatnonzero(sign <= 0)
+        n_structural = n + slack.size
+        total = n_structural + art.size
+        T = np.zeros((m, total + 1))
+        T[:, :n] = A * scale[:, None]
+        T[:, -1] = b * scale
+        T[slack, n + np.arange(slack.size)] = sign[slack]
+        T[art, n_structural + np.arange(art.size)] = 1.0
+        basis = np.zeros(m, dtype=int)
+        basis[slack] = n + np.arange(slack.size)
+        basis[art] = n_structural + np.arange(art.size)
 
-        n_slack = sum(1 for _, rel, _ in rows if rel != "=")
-        A = np.zeros((m, n + n_slack))
-        b = np.zeros(m)
-        slack_col = n
-        slack_basis: dict[int, int] = {}
-        for i, (coeffs, rel, rhs) in enumerate(rows):
-            A[i, :n] = coeffs
-            b[i] = rhs
-            if rel == "<=":
-                A[i, slack_col] = 1.0
-                slack_basis[i] = slack_col
-                slack_col += 1
-            elif rel == ">=":
-                A[i, slack_col] = -1.0
-                slack_col += 1
-
-        # artificials for rows without a usable slack in the initial basis
-        art_rows = [i for i in range(m) if i not in slack_basis]
-        self.n_structural = n + n_slack
-        total = n + n_slack + len(art_rows)
-        full = np.zeros((m, total))
-        full[:, : n + n_slack] = A
-        basis = [0] * m
-        for k, i in enumerate(art_rows):
-            full[i, n + n_slack + k] = 1.0
-            basis[i] = n + n_slack + k
-        for i, col in slack_basis.items():
-            basis[i] = col
-
-        tab = _Tableau(full, b, basis)
+        tab = _Tableau(T, basis)
         self.bland_after = 50 + 10 * (m + total)
         self.max_iter = 500 + 100 * (m + total)
         self.infeasibility = 0.0
-        if art_rows:
-            phase1_cost = np.zeros(total)
-            phase1_cost[n + n_slack :] = 1.0
-            status = _run_simplex(
-                tab, phase1_cost, range(total), self.bland_after, self.max_iter
-            )
+        if art.size:
+            phase1_cost = (np.arange(total) >= n_structural).astype(float)
+            status = _run_simplex(tab, phase1_cost, self.bland_after, self.max_iter)
             assert status == "OPTIMAL"  # phase 1 objective is bounded below by 0
-            self.infeasibility = float(phase1_cost @ _full_solution(tab, total))
+            self.infeasibility = float(phase1_cost @ tab.solution())
             if self.infeasibility > TAU_LP:
                 self._tab = None
                 return
-            _drive_out_artificials(tab, n + n_slack)
+            _drive_out_artificials(tab, n_structural)
         tab.T.flags.writeable = False
         self._tab = tab
 
@@ -219,87 +223,52 @@ class PreparedLp:
     def feasible(self) -> bool:
         return self._tab is not None
 
-    def _fresh_tableau(self) -> _Tableau:
-        t = _Tableau.__new__(_Tableau)
-        t.T = self._tab.T.copy()
-        t.basis = list(self._tab.basis)
-        return t
-
     def feasible_point(self) -> np.ndarray | None:
         if self._tab is None:
             return None
-        return self._tab.solution(self.n_vars)
+        return self._tab.solution()[: self.n_vars]
 
     def optimize(self, objective, sense: str) -> LpResult:
         if self._tab is None:
             return LpResult("INFEASIBLE", infeasibility=self.infeasibility)
         obj = np.asarray(objective, dtype=float)
-        tab = self._fresh_tableau()
+        tab = self._tab.copy()
         cost = np.zeros(tab.T.shape[1] - 1)
         cost[: self.n_vars] = obj if sense == "min" else -obj
-        status = _run_simplex(
-            tab, cost, range(self.n_structural), self.bland_after, self.max_iter
-        )
+        status = _run_simplex(tab, cost, self.bland_after, self.max_iter)
+        x = tab.solution()[: self.n_vars]
         if status == "UNBOUNDED":
-            return LpResult("UNBOUNDED", witness=tab.solution(self.n_vars))
-        x = tab.solution(self.n_vars)
-        value = float(obj @ x)
-        lp = LinearProgram(self.n_vars, self.constraints, objective=obj, sense=sense)
-        return LpResult("OPTIMAL", value=value, witness=_checked(lp, x))
+            return LpResult("UNBOUNDED", witness=x)
+        return LpResult("OPTIMAL", value=float(obj @ x), witness=self._checked(x))
+
+    def _checked(self, x: np.ndarray) -> np.ndarray:
+        if not np.all(_violation(self._rows, x) <= 10 * TAU_LP):
+            raise NumericalFailureError("solver returned an infeasible witness")
+        if np.any(x < -10 * TAU_LP):
+            raise NumericalFailureError("solver returned a negative witness entry")
+        return x
 
 
 def solve(lp: LinearProgram) -> LpResult:
-    """Two-phase simplex. Witnesses are feasible within TAU_LP."""
-    n = lp.n_vars
-    if len(lp.constraints) == 0:
-        # only x >= 0; the origin is feasible
-        if lp.sense == "feasibility":
-            return LpResult("OPTIMAL", value=0.0, witness=np.zeros(n))
-        obj = lp.objective if lp.sense == "min" else -lp.objective
-        if np.any(obj < -TAU_LP):
-            return LpResult("UNBOUNDED")
-        return LpResult("OPTIMAL", value=0.0, witness=np.zeros(n))
-
-    prepared = PreparedLp(n, lp.constraints)
-    if not prepared.feasible:
-        return LpResult("INFEASIBLE", infeasibility=prepared.infeasibility)
+    """Two-phase simplex. Witnesses are feasible within 10 * TAU_LP."""
+    prepared = PreparedLp(lp.n_vars, lp.constraints)
     if lp.sense == "feasibility":
-        x = prepared.feasible_point()
-        return LpResult("OPTIMAL", value=0.0, witness=_checked(lp, x))
+        return prepared.optimize(np.zeros(lp.n_vars), "min")
     return prepared.optimize(lp.objective, lp.sense)
 
 
-def _full_solution(tab: _Tableau, total: int) -> np.ndarray:
-    x = np.zeros(total)
-    for row, col in enumerate(tab.basis):
-        x[col] = tab.T[row, -1]
-    return x
-
-
 def _drive_out_artificials(tab: _Tableau, n_structural: int):
-    """Pivot zero-level artificials out of the basis; drop redundant rows."""
-    drop = []
-    for row in range(len(tab.basis)):
-        if tab.basis[row] < n_structural:
-            continue
-        pivots = np.where(np.abs(tab.T[row, :n_structural]) > PIVOT_TOL)[0]
+    """Pivot zero-level artificials out of the basis, then drop redundant
+    rows and the artificial columns."""
+    keep = np.ones(len(tab.basis), dtype=bool)
+    for row in np.flatnonzero(tab.basis >= n_structural):
+        pivots = np.flatnonzero(np.abs(tab.T[row, :n_structural]) > PIVOT_TOL)
         if pivots.size:
             tab.pivot(row, int(pivots[0]))
         else:
-            drop.append(row)  # row is redundant: all-zero in structural cols
-    if drop:
-        keep = [r for r in range(len(tab.basis)) if r not in drop]
-        tab.T = tab.T[keep]
-        tab.basis = [tab.basis[r] for r in keep]
-
-
-def _checked(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
-    for c in lp.constraints:
-        if not c.satisfied_by(x, tol=10 * TAU_LP):
-            raise NumericalFailureError("solver returned an infeasible witness")
-    if np.any(x < -10 * TAU_LP):
-        raise NumericalFailureError("solver returned a negative witness entry")
-    return x
+            keep[row] = False  # row is redundant: all-zero in structural cols
+    tab.T = np.delete(tab.T[keep], np.s_[n_structural:-1], axis=1)
+    tab.basis = tab.basis[keep]
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,19 +357,6 @@ def fractional_optimize(
     return float(res.value), witness
 
 
-def fractional_bounds_raw(
-    n_vars: int,
-    constraints: tuple[Constraint, ...],
-    numerator: np.ndarray,
-    denominator: np.ndarray,
-    sense: str,
-) -> tuple[float, np.ndarray | None]:
-    """One-shot min or max of (numerator @ p) / (denominator @ p)."""
-    return fractional_optimize(
-        prepare_fractional(n_vars, constraints, denominator), numerator, sense
-    )
-
-
 def enumerate_polytope_vertices(
     n_vars: int,
     constraints: tuple[Constraint, ...],
@@ -412,45 +368,35 @@ def enumerate_polytope_vertices(
     rows and the coordinate planes, keeping feasible solutions. Only
     intended for small systems (the combination count is guarded).
     """
-    planes = []
-    for c in constraints:
-        planes.append((c.coeffs, c.rhs, c.relation == "="))
-    for j in range(n_vars):
-        e = np.zeros(n_vars)
-        e[j] = 1.0
-        planes.append((e, 0.0, False))
-    forced = [i for i, p in enumerate(planes) if p[2]]
-    optional = [i for i, p in enumerate(planes) if not p[2]]
-    need = n_vars - len(forced)
-    if need < 0:
-        need = 0
-    from math import comb
-
+    rows = A, b, sign = _stack(n_vars, constraints)
+    planes = np.vstack([A, np.eye(n_vars)])  # the rows, then the coordinate planes
+    plane_rhs = np.concatenate([b, np.zeros(n_vars)])
+    equality = np.concatenate([sign == 0, np.zeros(n_vars, dtype=bool)])
+    forced = list(np.flatnonzero(equality))
+    optional = np.flatnonzero(~equality)
+    need = max(0, n_vars - len(forced))
     if comb(len(optional), need) > max_combinations:
         raise NumericalFailureError("vertex enumeration would be too large")
     vertices = []
     for extra in itertools.combinations(optional, need):
         chosen = forced + list(extra)
-        A = np.stack([planes[i][0] for i in chosen])
-        b = np.array([planes[i][1] for i in chosen])
-        if A.shape[0] != n_vars:
+        if len(chosen) != n_vars:
             continue
         try:
-            x = np.linalg.solve(A, b)
+            x = np.linalg.solve(planes[chosen], plane_rhs[chosen])
         except np.linalg.LinAlgError:
             continue
-        if not np.all(np.isfinite(x)):
-            continue
-        if np.any(x < -TAU_LP):
-            continue
-        if all(c.satisfied_by(x) for c in constraints):
+        if (
+            np.all(np.isfinite(x))
+            and np.all(x >= -TAU_LP)
+            and np.all(_violation(rows, x) <= TAU_LP)
+        ):
             vertices.append(x)
     if not vertices:
         return np.zeros((0, n_vars))
-    arr = np.array(vertices)
     # dedupe within tolerance
     unique: list[np.ndarray] = []
-    for v in arr:
+    for v in vertices:
         if not any(np.all(np.abs(v - u) <= 1e-9) for u in unique):
             unique.append(v)
     return np.array(unique)

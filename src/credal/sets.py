@@ -149,8 +149,7 @@ class LinearSystem:
         return all(c.satisfied_by(d.probs, tol) for c in self.constraints)
 
     def a_member(self) -> Distribution:
-        point = self._prepared.feasible_point()
-        return make_distribution(self.space, np.clip(point, 0.0, 1.0))
+        return _member_from_witness(self.space, self._prepared.feasible_point())
 
     def sample(self, k: int, rng: np.random.Generator) -> list[Distribution]:
         """Random vertices from random objectives, plus mixtures of them."""
@@ -172,6 +171,12 @@ class LinearSystem:
                 mix = np.einsum("i,ij->j", w, np.array(points))
             out.append(make_distribution(self.space, mix / mix.sum()))
         return out
+
+
+def _member_from_witness(space: OutcomeSpace, witness: np.ndarray) -> Distribution:
+    """The distribution an LP witness stands for: clipped at 0, renormalised."""
+    w = np.clip(witness, 0.0, None)
+    return make_distribution(space, w / w.sum())
 
 
 def interval_to_linear_system(iv: IntervalDistribution) -> LinearSystem:
@@ -630,10 +635,10 @@ def fractional_bounds(
     """Min or max of p(A and E) / p(E) over the system.
 
     Linear-fractional objectives reduce to an LP by the substitution
-    y = p / p(E); see linprog.fractional_bounds_raw.
+    y = p / p(E); see linprog.prepare_fractional.
     """
     from .errors import DenominatorVanishesError
-    from .linprog import fractional_bounds_raw
+    from .linprog import fractional_optimize, prepare_fractional
 
     if event_num.space != system.space or event_den.space != system.space:
         raise SpaceMismatchError("events are over a different space")
@@ -644,9 +649,8 @@ def fractional_bounds(
             "denominator event has zero upper probability over the system"
         )
     num = event_num.indicator() * den  # numerator restricted to A-and-E
-    value, _ = fractional_bounds_raw(
-        system.space.size, system.constraints, num, den, sense
-    )
+    prepared = prepare_fractional(system.space.size, system.constraints, den)
+    value, _ = fractional_optimize(prepared, num, sense)
     if math.isnan(value):
         raise InfeasibleSystemError("fractional program unexpectedly infeasible")
     return value

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,8 +129,9 @@ def product_space(*variables: Variable) -> OutcomeSpace:
     return OutcomeSpace(atoms=atoms, variables=tuple(variables))
 
 
+@lru_cache(maxsize=16)
 def coin_space(n_tosses: int) -> OutcomeSpace:
-    """The n-fold product of a single H/T toss."""
+    """The n-fold product of a single H/T toss (cached: spaces are immutable)."""
     if n_tosses < 1:
         raise ValueError("n_tosses must be >= 1")
     return product_space(

@@ -134,6 +134,24 @@ def test_condition_round_trips_into_envelope(bounds_file, tmp_path, capsys):
     assert "lower: 0.272727" in out
 
 
+def test_condition_family_round_trips_into_envelope(tmp_path, capsys):
+    """The conditioned family read back from the structured output keeps
+    its conditioning: P(HH | {HH, HT}) = p over p in [0.1, 0.5]."""
+    family = {
+        "space": {"variables": [{"name": "toss1", "values": ["H", "T"]},
+                                {"name": "toss2", "values": ["H", "T"]}]},
+        "credal": {"family": {"branches": [
+            {"generator": "iid-coin", "lo": 0.1, "hi": 0.5, "params": {"n_tosses": 2}}]}},
+    }
+    path = write(tmp_path, "family.json", family)
+    assert main(["--format", "structured", "condition", path, "--event", "HH", "HT"]) == 0
+    conditioned = write(tmp_path, "conditioned.json", json.loads(capsys.readouterr().out))
+    assert main(["--format", "structured", "envelope", conditioned, "--event", "HH"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["lower"] == pytest.approx(0.1, abs=1e-12)
+    assert payload["upper"] == pytest.approx(0.5, abs=1e-12)
+
+
 def test_decide_group_minimax(decision_file, capsys):
     assert main(["decide", decision_file, "--criterion", "group-minimax"]) == 0
     assert "group minimax action: a3" in capsys.readouterr().out

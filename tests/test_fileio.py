@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from credal import fileio
+from credal import (
+    Event,
+    IntervalDistribution,
+    coin_family,
+    constraint,
+    envelope,
+    fileio,
+    interval_to_linear_system,
+    make_distribution,
+)
 from credal.errors import ParseError
 from credal.sets import LinearSystem, ParametricFamily, VertexSet
 
@@ -73,6 +82,55 @@ def test_credal_forms(tmp_path, form, expected):
     # credal_to_obj output loads back to the same kind of set
     again = fileio.credal_from_obj(fileio.credal_to_obj(S), problem)
     assert type(again) is type(S)
+
+
+COIN_SPACE = {
+    "variables": [
+        {"name": "toss1", "values": ["H", "T"]},
+        {"name": "toss2", "values": ["H", "T"]},
+    ]
+}
+COIN_FAMILY = {
+    "branches": [{"generator": "iid-coin", "lo": 0.1, "hi": 0.5, "params": {"n_tosses": 2}}]
+}
+
+ROUND_TRIP_SETS = {
+    "vertices": lambda sp: VertexSet(
+        (make_distribution(sp, [0.25] * 4), make_distribution(sp, [0.1, 0.2, 0.3, 0.4]))
+    ),
+    "constraints": lambda sp: LinearSystem(
+        sp, (constraint([1, 0, 0, 0], "<=", 0.5), constraint([0, 1, -1, 0], ">=", 0.1))
+    ),
+    "intervals": lambda sp: interval_to_linear_system(
+        IntervalDistribution(sp, [0.15] * 4, [0.4] * 4)
+    ),
+    "family": lambda sp: coin_family(0.1, 0.5, 2),
+    "conditioned-family": lambda sp: ParametricFamily(
+        coin_family(0.1, 0.5, 2).branches, Event.of(sp, "HH", "HT")
+    ),
+}
+
+
+@pytest.mark.parametrize("form", ROUND_TRIP_SETS)
+def test_credal_round_trip_keeps_the_set(form):
+    """credal_to_obj, through JSON text, reads back as the same set: the
+    same envelope on every atom (and, for a family, the same conditioning)."""
+    problem = fileio.problem_from_obj({"space": COIN_SPACE})
+    S = ROUND_TRIP_SETS[form](problem.space)
+    again = fileio.credal_from_obj(json.loads(fileio.dump_json(fileio.credal_to_obj(S))), problem)
+    assert type(again) is type(S)
+    assert getattr(again, "conditioning", None) == getattr(S, "conditioning", None)
+    for atom in problem.space.atoms:
+        event = Event.of(problem.space, atom)
+        assert envelope(again, event).lower == pytest.approx(envelope(S, event).lower, abs=1e-12)
+        assert envelope(again, event).upper == pytest.approx(envelope(S, event).upper, abs=1e-12)
+
+
+@pytest.mark.parametrize("conditioning", [["HH", "XX"], "HH", [["HH"]]])
+def test_family_conditioning_parse_errors(conditioning):
+    problem = fileio.problem_from_obj({"space": COIN_SPACE})
+    with pytest.raises(ParseError, match="conditioning"):
+        fileio.credal_from_obj({"family": dict(COIN_FAMILY, conditioning=conditioning)}, problem)
 
 
 def test_mass_function_file(tmp_path):

@@ -22,15 +22,8 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .distributions import Distribution, coin_atom_polys, independent_square
-from .errors import EmptySetError, SpaceMismatchError, UnsupportedFamilyError
-from .sets import (
-    CredalSet,
-    LinearSystem,
-    ParametricFamily,
-    VertexSet,
-    _member_from_witness,
-    family_range,
-)
+from .errors import SpaceMismatchError, UnsupportedFamilyError
+from .sets import CredalSet, VertexSet
 from .spaces import Event, OutcomeSpace
 from .tolerances import TAU_LP, TAU_STRICT
 
@@ -218,42 +211,18 @@ def booked_in_expectation(book: BetBook, S: CredalSet) -> BookedVerdict:
     if S.space != book.space:
         raise SpaceMismatchError("credal set is over a different space")
 
+    agent = payoff_table(book).agent
+    lo, _, hi, witness = S.extremes(agent)
+    ties = None
     if isinstance(S, VertexSet):
-        exps = np.array([-expectation_under(book, v) for v in S.vertices])
-        hi, lo = float(exps.max()), float(exps.min())
-        witness = S.vertices[int(np.argmax(exps))]
+        exps = np.stack([v.probs for v in S.vertices]) @ agent
         ties = int(np.sum(np.abs(exps) <= TAU_STRICT))
-        return BookedVerdict(
-            booked=hi <= TAU_LP and lo < -TAU_STRICT,
-            max_agent_expectation=hi,
-            min_agent_expectation=lo,
-            witness=witness,
-            zero_ties=ties,
-        )
-
-    if isinstance(S, LinearSystem):
-        agent = payoff_table(book).agent
-        top = S.optimize(agent, "max")
-        bottom = S.optimize(agent, "min")
-        return BookedVerdict(
-            booked=top.value <= TAU_LP and bottom.value < -TAU_STRICT,
-            max_agent_expectation=float(top.value),
-            min_agent_expectation=float(bottom.value),
-            witness=_member_from_witness(S.space, top.witness),
-        )
-
-    if isinstance(S, ParametricFamily):
-        return _family_booked(book, S)
-    raise EmptySetError("unsupported credal set")
-
-
-def _family_booked(book: BetBook, fam: ParametricFamily) -> BookedVerdict:
-    low, _, high, witness = family_range(fam, payoff_table(book).agent)
     return BookedVerdict(
-        booked=high <= TAU_LP and low < -TAU_STRICT,
-        max_agent_expectation=high,
-        min_agent_expectation=low,
+        booked=hi <= TAU_LP and lo < -TAU_STRICT,
+        max_agent_expectation=hi,
+        min_agent_expectation=lo,
         witness=witness,
+        zero_ties=ties,
     )
 
 

@@ -20,19 +20,19 @@ from .errors import (
     NegativeMassError,
     NotFactorizedError,
     NotNormalizedError,
+    SpaceMismatchError,
     SpaceTooLargeError,
     ZeroEvidenceError,
     ZeroEvidenceEverywhereError,
 )
-from .linprog import enumerate_polytope_vertices, hull_membership
+from .linprog import constraint, enumerate_polytope_vertices, fractional_optimize, hull_membership
 from .sets import (
     CredalSet,
     IntervalDistribution,
     LinearSystem,
-    ParametricFamily,
     VertexSet,
     _member_from_witness,
-    family_range,
+    _ratio_program,
     interval_to_linear_system,
 )
 from .spaces import Event, OutcomeSpace
@@ -55,29 +55,9 @@ class Envelope:
 
 def envelope(S: CredalSet, e: Event) -> Envelope:
     """inf and sup of p(e) over the set."""
-    if isinstance(S, VertexSet):
-        values = [v.p(e) for v in S.vertices]
-        i_lo = int(np.argmin(values))
-        i_hi = int(np.argmax(values))
-        return Envelope(e, values[i_lo], values[i_hi], S.vertices[i_lo], S.vertices[i_hi])
-
-    if isinstance(S, LinearSystem):
-        ind = e.indicator()
-        lo = S.optimize(ind, "min")
-        hi = S.optimize(ind, "max")
-        return Envelope(
-            e,
-            float(lo.value),
-            float(hi.value),
-            _member_from_witness(S.space, lo.witness),
-            _member_from_witness(S.space, hi.witness),
-        )
-
-    return _family_envelope(S, e)
-
-
-def _family_envelope(fam: ParametricFamily, e: Event) -> Envelope:
-    lower, lo_w, upper, hi_w = family_range(fam, e.indicator())
+    if e.space != S.space:
+        raise SpaceMismatchError("event is over a different space")
+    lower, lo_w, upper, hi_w = S.extremes(e.indicator())
     return Envelope(e, min(max(lower, 0.0), 1.0), min(max(upper, 0.0), 1.0), lo_w, hi_w)
 
 
@@ -108,22 +88,15 @@ def conditionalize(S: CredalSet, e: Event) -> CredalSet:
         return VertexSet(tuple(kept), dropped=dropped)
 
     if isinstance(S, LinearSystem):
-        upper = S.optimize(e.indicator(), "max")
-        if upper.value is None or upper.value <= TAU_ZERO:
-            raise ZeroEvidenceEverywhereError(
-                "event has zero upper probability over the system"
-            )
-        from .linprog import fractional_optimize, prepare_fractional
-
+        prepared = _ratio_program(S, e.indicator(), ZeroEvidenceEverywhereError)
         n = S.space.size
-        prepared = prepare_fractional(n, S.constraints, e.indicator())
         lo = np.zeros(n)
         hi = np.zeros(n)
         for j in e.indices:
             atom = np.zeros(n)
             atom[j] = 1.0
-            lo[j] = max(0.0, fractional_optimize(prepared, atom, "min")[0])
-            hi[j] = min(1.0, fractional_optimize(prepared, atom, "max")[0])
+            lo[j] = max(0.0, fractional_optimize(prepared, atom, "min"))
+            hi[j] = min(1.0, fractional_optimize(prepared, atom, "max"))
         iv = IntervalDistribution(S.space, lo, hi)
         return interval_to_linear_system(iv)
 
@@ -358,8 +331,6 @@ def belief_from_mass(m: MassFunction) -> SetFunction:
 
 def core_of_belief(space: OutcomeSpace, bel: np.ndarray) -> LinearSystem:
     """The polytope {p : p(A) >= bel[A] for all A} as a LinearSystem."""
-    from .linprog import constraint
-
     n = space.size
     rows = []
     for mask in range(1, 2**n - 1):
@@ -400,23 +371,23 @@ class MobiusReport:
 
 
 def lower_envelope_function(S: CredalSet) -> SetFunction:
-    """Lower envelope of every subset event (2**n envelope calls)."""
+    """Lower envelope of every subset event.
+
+    One ``extremes`` call per subset A without the last atom gives both
+    Bel(A) = min p(A) and Bel(A^c) = 1 - max p(A), members being
+    normalized.
+    """
     space = S.space
     n = space.size
     if n > MAX_FRAME_ATOMS:
         raise SpaceTooLargeError(f"frames above {MAX_FRAME_ATOMS} atoms are not supported")
-    size = 2**n
-    bel = np.zeros(size)
-    bel[size - 1] = 1.0
-    if isinstance(S, VertexSet):
-        V = np.stack([v.probs for v in S.vertices])
-        for mask in range(1, size - 1):
-            cols = [i for i in range(n) if mask >> i & 1]
-            bel[mask] = float(V[:, cols].sum(axis=1).min())
-        return SetFunction(space, bel)
-    for mask in range(1, size - 1):
-        e = Event.from_indices(space, [i for i in range(n) if mask >> i & 1])
-        bel[mask] = envelope(S, e).lower
+    full = 2**n - 1
+    bel = np.zeros(full + 1)
+    bel[full] = 1.0
+    for mask in range(1, 2 ** (n - 1)):
+        lower, _, upper, _ = S.extremes((mask >> np.arange(n)) & 1)
+        bel[mask] = lower
+        bel[full ^ mask] = 1.0 - upper
     return SetFunction(space, bel)
 
 

@@ -187,7 +187,8 @@ class PreparedLp:
         # negated where that makes the rhs nonnegative
         flip = np.where(b < 0, -1.0, 1.0)
         largest = np.abs(A).max(axis=1, initial=0.0)
-        scale = flip / np.where(largest > 0, largest, 1.0)
+        self._largest = np.where(largest > 0, largest, 1.0)
+        scale = flip / self._largest
         sign = sign * flip
         # one slack per inequality; artificials where no +1 slack can start basic
         slack = np.flatnonzero(sign)
@@ -240,6 +241,11 @@ class PreparedLp:
         if status == "UNBOUNDED":
             return LpResult("UNBOUNDED", witness=x)
         return LpResult("OPTIMAL", value=float(obj @ x), witness=self._checked(x))
+
+    def scaled_violation(self, x: np.ndarray) -> np.ndarray:
+        """By how much x breaks each row (<= 0 where it holds), in units of
+        the row's largest |coefficient|."""
+        return _violation(self._rows, x) / self._largest
 
     def _checked(self, x: np.ndarray) -> np.ndarray:
         if not np.all(_violation(self._rows, x) <= 10 * TAU_LP):
@@ -342,19 +348,12 @@ def prepare_fractional(
     return PreparedLp(n_vars + 1, tuple(rows))
 
 
-def fractional_optimize(
-    prepared: PreparedLp, numerator: np.ndarray, sense: str
-) -> tuple[float, np.ndarray | None]:
-    """(bound, witness distribution or None) for one ratio objective."""
+def fractional_optimize(prepared: PreparedLp, numerator: np.ndarray, sense: str) -> float:
+    """The min or max of one ratio objective, nan if the program fails."""
     if sense not in ("min", "max"):
         raise ValueError("sense must be min or max")
-    n_vars = prepared.n_vars - 1
     res = prepared.optimize(np.append(numerator, 0.0), sense)
-    if res.status != "OPTIMAL":
-        return float("nan"), None
-    y, t = res.witness[:n_vars], float(res.witness[n_vars])
-    witness = y / t if t > TAU_ZERO else None
-    return float(res.value), witness
+    return float(res.value) if res.status == "OPTIMAL" else float("nan")
 
 
 def enumerate_polytope_vertices(

@@ -1,7 +1,10 @@
 """Credal sets: finite vertex lists, linear constraint systems, and
 one-parameter families.
 
-A credal set is one of three representations:
+A credal set is one of three representations, and each answers
+``extremes(weights)``: the lowest and highest value of ``weights . p``
+over its members, with a member attaining each. Envelopes, bet verdicts
+and lower envelopes read their answers from it.
 
 * ``VertexSet`` — a finite (generally nonconvex) set of distributions.
   Polytopes are represented by ``LinearSystem``, not by their vertex
@@ -41,13 +44,16 @@ from .distributions import (
     make_distribution,
 )
 from .errors import (
+    DenominatorVanishesError,
     EmptySetError,
     InfeasibleSystemError,
     ParamRangeError,
     SpaceMismatchError,
     ZeroEvidenceError,
 )
-from .linprog import Constraint, LpResult, PreparedLp, constraint
+from .linprog import (
+    Constraint, LpResult, PreparedLp, constraint, fractional_optimize, prepare_fractional,
+)
 from .spaces import Event, OutcomeSpace, coin_space
 from .tolerances import TAU_LP, TAU_NORM, TAU_ZERO
 
@@ -105,6 +111,13 @@ class VertexSet:
     def space(self) -> OutcomeSpace:
         return self.vertices[0].space
 
+    def extremes(self, weights: np.ndarray):
+        """(lowest, member attaining it, highest, member attaining it) of
+        weights . p over the vertices."""
+        vals = np.stack([v.probs for v in self.vertices]) @ np.asarray(weights, dtype=float)
+        lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
+        return float(vals[lo]), self.vertices[lo], float(vals[hi]), self.vertices[hi]
+
     def sample(self, k: int, rng: np.random.Generator) -> list[Distribution]:
         idx = rng.integers(0, len(self.vertices), size=k)
         return [self.vertices[i] for i in idx]
@@ -143,10 +156,23 @@ class LinearSystem:
     def optimize(self, objective: np.ndarray, sense: str) -> LpResult:
         return self._prepared.optimize(np.asarray(objective, dtype=float), sense)
 
+    def extremes(self, weights: np.ndarray):
+        """(lowest, member attaining it, highest, member attaining it) of
+        weights . p over the system, from one min and one max LP."""
+        lo = self.optimize(weights, "min")
+        hi = self.optimize(weights, "max")
+        return (
+            lo.value, _member_from_witness(self.space, lo.witness),
+            hi.value, _member_from_witness(self.space, hi.witness),
+        )
+
     def contains(self, d: Distribution, tol: float = TAU_LP) -> bool:
+        """Whether d meets every explicit row to tol, each row divided by
+        its largest |coefficient| so that its scale does not matter."""
         if d.space != self.space:
             raise SpaceMismatchError("distribution is over a different space")
-        return all(c.satisfied_by(d.probs, tol) for c in self.constraints)
+        # the last row is the simplex row, which a distribution meets already
+        return bool(np.all(self._prepared.scaled_violation(d.probs)[:-1] <= tol))
 
     def a_member(self) -> Distribution:
         return _member_from_witness(self.space, self._prepared.feasible_point())
@@ -416,6 +442,26 @@ class ParametricFamily:
                 return True
         return False
 
+    def extremes(self, weights: np.ndarray):
+        """(lowest, member attaining it, highest, member attaining it) of
+        weights . p over the members, decided exactly."""
+        weights = np.asarray(weights, dtype=float)
+        best = []
+        for bi in range(len(self.branches)):
+            s, M = self.critical_members(bi, ratios=weights[None, :])
+            if len(s):
+                vals = M @ weights
+                lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
+                best.append((vals[lo], bi, s[lo], vals[hi], s[hi]))
+        if not best:
+            raise EmptySetError("family has no members (conditioning removed all)")
+        low = min(best, key=lambda r: r[0])
+        high = max(best, key=lambda r: r[3])
+        return (
+            float(low[0]), self.member_at_scan(low[1], float(low[2])),
+            float(high[3]), self.member_at_scan(high[1], float(high[4])),
+        )
+
     def sample(self, k: int, rng: np.random.Generator) -> list[Distribution]:
         out: list[Distribution] = []
         guard = 0
@@ -431,27 +477,6 @@ class ParametricFamily:
         if not out:
             raise EmptySetError("conditioning leaves no family member with evidence")
         return out
-
-
-def family_range(fam: ParametricFamily, weights: np.ndarray):
-    """(lowest, member attaining it, highest, member attaining it) of
-    weights . p over the members of fam, decided exactly."""
-    weights = np.asarray(weights, dtype=float)
-    best = []
-    for bi in range(len(fam.branches)):
-        s, M = fam.critical_members(bi, ratios=weights[None, :])
-        if len(s):
-            vals = M @ weights
-            lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
-            best.append((vals[lo], bi, s[lo], vals[hi], s[hi]))
-    if not best:
-        raise EmptySetError("family has no members (conditioning removed all)")
-    low = min(best, key=lambda r: r[0])
-    high = max(best, key=lambda r: r[3])
-    return (
-        float(low[0]), fam.member_at_scan(low[1], float(low[2])),
-        float(high[3]), fam.member_at_scan(high[1], float(high[4])),
-    )
 
 
 # --- exact family kernel ---------------------------------------------------
@@ -629,6 +654,16 @@ def independent_square_family(w_lo: float, w_hi: float) -> ParametricFamily:
     return ParametricFamily((FamilyBranch("independent-square", w_lo, w_hi),))
 
 
+def _ratio_program(system: LinearSystem, den: np.ndarray, refusal: type) -> PreparedLp:
+    """The program for ratios over p(E) = den . p on the system (see
+    linprog.prepare_fractional); raises ``refusal`` when p(E) has zero
+    upper bound there."""
+    upper = system.optimize(den, "max")
+    if upper.status != "OPTIMAL" or upper.value <= TAU_ZERO:
+        raise refusal("conditioning event has zero upper probability over the system")
+    return prepare_fractional(system.space.size, system.constraints, den)
+
+
 def fractional_bounds(
     system: LinearSystem, event_num: Event, event_den: Event, sense: str
 ) -> float:
@@ -637,20 +672,11 @@ def fractional_bounds(
     Linear-fractional objectives reduce to an LP by the substitution
     y = p / p(E); see linprog.prepare_fractional.
     """
-    from .errors import DenominatorVanishesError
-    from .linprog import fractional_optimize, prepare_fractional
-
     if event_num.space != system.space or event_den.space != system.space:
         raise SpaceMismatchError("events are over a different space")
     den = event_den.indicator()
-    upper = system.optimize(den, "max")
-    if upper.status != "OPTIMAL" or upper.value <= TAU_ZERO:
-        raise DenominatorVanishesError(
-            "denominator event has zero upper probability over the system"
-        )
     num = event_num.indicator() * den  # numerator restricted to A-and-E
-    prepared = prepare_fractional(system.space.size, system.constraints, den)
-    value, _ = fractional_optimize(prepared, num, sense)
+    value = fractional_optimize(_ratio_program(system, den, DenominatorVanishesError), num, sense)
     if math.isnan(value):
         raise InfeasibleSystemError("fractional program unexpectedly infeasible")
     return value

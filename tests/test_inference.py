@@ -33,11 +33,13 @@ from credal.errors import (
     NegativeMassError,
     NotFactorizedError,
     NotNormalizedError,
+    SpaceMismatchError,
     SpaceTooLargeError,
     UnknownVariableError,
     ZeroEvidenceEverywhereError,
 )
-from credal.inference import mobius_transform, zeta_transform
+from credal.inference import lower_envelope_function, mobius_transform, zeta_transform
+from credal.linprog import PreparedLp, enumerate_polytope_vertices
 from credal.sets import IntervalDistribution
 
 
@@ -61,6 +63,15 @@ def test_envelope_vertex_set(die6):
     assert env.lower == pytest.approx(1 / 12, abs=1e-12)
     assert env.upper == pytest.approx(3 / 12, abs=1e-12)
     assert env.lower_witness.prob("1") == pytest.approx(env.lower)
+
+
+def test_envelope_refuses_an_event_over_another_space(two_tosses):
+    other = simple_space("HH", "HT", "TH", "TT")  # same size, different space
+    e = Event.of(other, "HH")
+    for S in (VertexSet((iid_coin(0.5, 2),)), coin_family(0.1, 0.5),
+              LinearSystem(two_tosses, ())):
+        with pytest.raises(SpaceMismatchError):
+            envelope(S, e)
 
 
 def test_envelope_full_space_event():
@@ -424,3 +435,56 @@ def test_lower_envelope_superadditive_on_disjoint_events(rng):
         lo_b = envelope(S, eb).lower
         lo_ab = envelope(S, eab).lower
         assert lo_ab >= lo_a + lo_b - 1e-8
+
+
+# --- one extremes call per subset ------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_lower_envelope_solves_one_lp_per_subset(monkeypatch, n):
+    S = bounds_system(n, 0.05, 0.6)
+    senses = []
+    optimize = PreparedLp.optimize
+
+    def counted(self, objective, sense):
+        senses.append(sense)
+        return optimize(self, objective, sense)
+
+    monkeypatch.setattr(PreparedLp, "optimize", counted)
+    bel = lower_envelope_function(S)
+    assert len(senses) == 2**n - 2
+    assert bel.values[1] == pytest.approx(0.05, abs=1e-12)  # {w1}
+    assert bel.values[2 ** (n - 1) - 1] == pytest.approx(0.4, abs=1e-12)  # all but w_n
+
+
+def random_polytope(seed: int) -> LinearSystem:
+    """A system on 2 to 5 atoms whose 1 to 3 random rows hold at a random
+    distribution with a margin."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    x0 = rng.dirichlet(np.ones(n))
+    rows = []
+    for _ in range(int(rng.integers(1, 4))):
+        a = rng.normal(size=n)
+        rows.append(constraint(a, "<=", float(a @ x0) + rng.uniform(0.02, 0.3)))
+    return LinearSystem(simple_space(*(f"w{j}" for j in range(n))), tuple(rows))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_linear_system_extremes_match_its_vertices(seed):
+    S = random_polytope(seed)
+    n = S.space.size
+    V = np.clip(enumerate_polytope_vertices(n, S.full_constraints()), 0.0, None)
+    hull = VertexSet(tuple(make_distribution(S.space, v / v.sum()) for v in V))
+    for w in np.random.default_rng([seed, 1]).normal(size=(5, n)):
+        got, want = S.extremes(w), hull.extremes(w)
+        assert got[0] == pytest.approx(want[0], abs=1e-9)
+        assert got[2] == pytest.approx(want[2], abs=1e-9)
+        for value, member in ((got[0], got[1]), (got[2], got[3]),
+                              (want[0], want[1]), (want[2], want[3])):
+            assert float(member.probs @ w) == pytest.approx(value, abs=1e-9)
+            assert S.contains(member)
+    np.testing.assert_allclose(
+        lower_envelope_function(S).values, lower_envelope_function(hull).values, atol=1e-9
+    )

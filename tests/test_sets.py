@@ -46,6 +46,14 @@ def test_linear_system_infeasible():
         LinearSystem(sp, rows)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_linear_system_contains_ignores_row_scale(scale):
+    sp = simple_space("a", "b")
+    S = LinearSystem(sp, (constraint([scale, 0.0], "<=", 0.5 * scale),))
+    assert S.contains(make_distribution(sp, [0.5 + 5e-9, 0.5 - 5e-9]))
+    assert not S.contains(make_distribution(sp, [0.505, 0.495]))
+
+
 def test_interval_distribution_validation():
     sp = simple_space("a", "b")
     with pytest.raises(ValueError):

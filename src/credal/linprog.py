@@ -3,16 +3,25 @@
 A small two-phase tableau simplex for the tiny programs that arise from
 credal sets (at most dozens of variables). Variables are nonnegative;
 callers split free variables. Dantzig pricing switches to Bland's rule
-after an iteration threshold so degenerate programs cannot cycle.
+after an iteration threshold so degenerate programs cannot cycle. One
+driver, ``_run_simplex``, serves phase 1 and phase 2: it works on a
+tableau whose last row is the reduced-cost row of the objective.
 
 ``PreparedLp`` is the one kernel path. It stacks the rows of a program
 once into arrays: A, b and a per-row sign (+1 for <=, 0 for =, -1 for
 >=). Phase 1 runs on the rows equilibrated, each row and its rhs divided
 by the row's largest |coefficient|, so that the absolute pivot and
 phase-1 tolerances mean the same thing at every row scale; the reported
-phase-1 residual is in those units. Every witness is checked against the
-rows as given, at 10 * TAU_LP, with one matrix-vector product.
-``solve`` prepares a program and optimizes it once.
+phase-1 residual is in those units. ``optimize`` runs phase 2 for one
+objective on a copy of the phase-1 tableau. ``optimize_many`` runs it for
+a stack of objectives on one working copy, each from the optimal basis of
+the one before, which stays feasible because the rows do not change; a
+lower-envelope sweep over subsets in Gray-code order then takes under
+one pivot per LP on average. Every witness is checked against the rows as
+given, at 10 * TAU_LP, with a matrix product (one per block of witnesses
+in ``optimize_many``). Pivoting is deterministic: the same program and
+objectives give the same answers. ``solve`` prepares a program and
+optimizes it once.
 """
 
 from __future__ import annotations
@@ -24,13 +33,16 @@ from math import comb
 import numpy as np
 
 from .distributions import Distribution
-from .errors import NumericalFailureError, SpaceMismatchError
+from .errors import InfeasibleSystemError, NumericalFailureError, SpaceMismatchError
 from .tolerances import TAU_LP, TAU_ZERO
 
 RELATIONS = ("<=", "=", ">=")
 
 # Entries smaller than this are unusable as pivots.
 PIVOT_TOL = 1e-10
+
+# optimize_many checks this many witnesses per stacked product
+_CHECK_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +103,10 @@ def constraint(coeffs, relation: str, rhs: float) -> Constraint:
 
 
 class _Tableau:
-    """Simplex tableau: rows are equality constraints, col -1 is the rhs;
-    ``basis`` holds the basic column of each row."""
+    """Simplex tableau: rows are equality constraints, col -1 is the rhs,
+    and the last row is the reduced-cost row of the objective being
+    minimized, which pivots keep current; ``basis`` holds the basic column
+    of each constraint row."""
 
     def __init__(self, T: np.ndarray, basis: np.ndarray):
         self.T = T
@@ -103,12 +117,14 @@ class _Tableau:
 
     def solution(self) -> np.ndarray:
         x = np.zeros(self.T.shape[1] - 1)
-        x[self.basis] = self.T[:, -1]
+        x[self.basis] = self.T[:-1, -1]
         return x
 
-    def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
+    def price(self, cost: np.ndarray):
+        """Make the last row the reduced costs of minimizing cost."""
         # basis columns are unit vectors, so pricing them out is one product
-        return cost - cost[self.basis] @ self.T[:, :-1]
+        self.T[-1, :-1] = cost - cost[self.basis] @ self.T[:-1, :-1]
+        self.T[-1, -1] = 0.0
 
     def pivot(self, row: int, col: int):
         T = self.T
@@ -119,36 +135,31 @@ class _Tableau:
         self.basis[row] = col
 
 
-def _run_simplex(tab: _Tableau, cost: np.ndarray, bland_after: int, max_iter: int) -> str:
-    """Minimize cost over the tableau in place. Returns OPTIMAL or UNBOUNDED.
-
-    The reduced-cost row is appended as an extra tableau row so pivots
-    keep it current; it is stripped again before returning.
-    """
-    m = tab.T.shape[0]
-    tab.T = np.vstack([tab.T, np.append(tab.reduced_costs(cost), 0.0)])
-    try:
-        for it in range(max_iter):
-            z = tab.T[-1, :-1]
-            candidates = np.flatnonzero(z < -TAU_LP)
-            if candidates.size == 0:
-                return "OPTIMAL"
-            if it < bland_after:
-                enter = candidates[np.argmin(z[candidates])]
-            else:
-                enter = candidates[0]  # Bland: smallest index
-            col = tab.T[:m, enter]
-            rows = np.flatnonzero(col > PIVOT_TOL)
-            if rows.size == 0:
-                return "UNBOUNDED"
-            ratios = tab.T[rows, -1] / col[rows]
-            tied = rows[ratios <= ratios.min() + TAU_ZERO]
-            # smallest basis index among ties keeps Bland's rule intact
-            leave = tied[np.argmin(tab.basis[tied])]
-            tab.pivot(leave, enter)
-        raise NumericalFailureError(f"simplex exceeded {max_iter} iterations")
-    finally:
-        tab.T = tab.T[:-1]
+def _run_simplex(tab: _Tableau, bland_after: int, max_iter: int) -> str:
+    """Minimize the priced objective over the tableau in place, starting
+    from its current (primal feasible) basis. Returns OPTIMAL or UNBOUNDED;
+    an unbounded run stops before pivoting, so the basis stays feasible."""
+    T = tab.T
+    m = T.shape[0] - 1
+    for it in range(max_iter):
+        z = T[-1, :-1]
+        candidates = (z < -TAU_LP).nonzero()[0]
+        if candidates.size == 0:
+            return "OPTIMAL"
+        if it < bland_after:
+            enter = candidates[z[candidates].argmin()]
+        else:
+            enter = candidates[0]  # Bland: smallest index
+        col = T[:m, enter]
+        rows = (col > PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
+            return "UNBOUNDED"
+        ratios = T[rows, -1] / col[rows]
+        tied = rows[ratios <= ratios.min() + TAU_ZERO]
+        # smallest basis index among ties keeps Bland's rule intact
+        leave = tied[tab.basis[tied].argmin()]
+        tab.pivot(leave, enter)
+    raise NumericalFailureError(f"simplex exceeded {max_iter} iterations")
 
 
 _SIGN = {"<=": 1.0, "=": 0.0, ">=": -1.0}
@@ -163,9 +174,10 @@ def _stack(n_vars: int, constraints: tuple[Constraint, ...]):
 
 
 def _violation(rows, x: np.ndarray) -> np.ndarray:
-    """By how much x breaks each stacked row (<= 0 where it holds)."""
+    """By how much x breaks each stacked row (<= 0 where it holds); for a
+    stack of points, one row of violations per point."""
     A, b, sign = rows
-    r = A @ x - b
+    r = x @ A.T - b
     return np.where(sign == 0, np.abs(r), sign * r)
 
 
@@ -174,9 +186,10 @@ class PreparedLp:
     objectives.
 
     Building one stacks the rows, runs phase 1 on them equilibrated and
-    drives artificials out; ``optimize`` then copies the feasible tableau
-    and runs phase 2 only. Instances are immutable after construction and
-    safe to share.
+    drives artificials out. ``optimize`` then copies the feasible tableau
+    and runs phase 2 only; ``optimize_many`` runs phase 2 for a stack of
+    objectives on one working copy, each from the basis where the last one
+    ended. Instances are immutable after construction and safe to share.
     """
 
     def __init__(self, n_vars: int, constraints: tuple[Constraint, ...]):
@@ -195,9 +208,9 @@ class PreparedLp:
         art = np.flatnonzero(sign <= 0)
         n_structural = n + slack.size
         total = n_structural + art.size
-        T = np.zeros((m, total + 1))
-        T[:, :n] = A * scale[:, None]
-        T[:, -1] = b * scale
+        T = np.zeros((m + 1, total + 1))  # the last row is the cost row
+        T[:m, :n] = A * scale[:, None]
+        T[:m, -1] = b * scale
         T[slack, n + np.arange(slack.size)] = sign[slack]
         T[art, n_structural + np.arange(art.size)] = 1.0
         basis = np.zeros(m, dtype=int)
@@ -210,7 +223,8 @@ class PreparedLp:
         self.infeasibility = 0.0
         if art.size:
             phase1_cost = (np.arange(total) >= n_structural).astype(float)
-            status = _run_simplex(tab, phase1_cost, self.bland_after, self.max_iter)
+            tab.price(phase1_cost)
+            status = _run_simplex(tab, self.bland_after, self.max_iter)
             assert status == "OPTIMAL"  # phase 1 objective is bounded below by 0
             self.infeasibility = float(phase1_cost @ tab.solution())
             if self.infeasibility > TAU_LP:
@@ -229,18 +243,53 @@ class PreparedLp:
             return None
         return self._tab.solution()[: self.n_vars]
 
+    def _cost(self, objective, sense: str) -> np.ndarray:
+        cost = np.zeros(self._tab.T.shape[1] - 1)
+        cost[: self.n_vars] = objective if sense == "min" else -objective
+        return cost
+
     def optimize(self, objective, sense: str) -> LpResult:
         if self._tab is None:
             return LpResult("INFEASIBLE", infeasibility=self.infeasibility)
         obj = np.asarray(objective, dtype=float)
         tab = self._tab.copy()
-        cost = np.zeros(tab.T.shape[1] - 1)
-        cost[: self.n_vars] = obj if sense == "min" else -obj
-        status = _run_simplex(tab, cost, self.bland_after, self.max_iter)
+        tab.price(self._cost(obj, sense))
+        status = _run_simplex(tab, self.bland_after, self.max_iter)
         x = tab.solution()[: self.n_vars]
         if status == "UNBOUNDED":
             return LpResult("UNBOUNDED", witness=x)
         return LpResult("OPTIMAL", value=float(obj @ x), witness=self._checked(x))
+
+    def optimize_many(self, rows, sense: str) -> np.ndarray:
+        """The optimal value of each row of objective weights, in order
+        (-inf or +inf where the program is unbounded in that direction).
+
+        One working tableau serves the whole call: each objective is
+        priced on the basis where the previous one ended, which the rows
+        of the program keep primal feasible, so each runs phase 2 only.
+        Objectives that differ little (as subsets in Gray-code order do)
+        then take few pivots. Witnesses are checked as in ``optimize``, a
+        block of them per stacked product.
+        """
+        if self._tab is None:
+            raise InfeasibleSystemError(
+                f"program is infeasible (residual {self.infeasibility})"
+            )
+        rows = np.asarray(rows)
+        tab = self._tab.copy()
+        values = np.empty(len(rows))
+        for start in range(0, len(rows), _CHECK_BLOCK):
+            block = rows[start : start + _CHECK_BLOCK].astype(float)
+            X = np.empty_like(block)
+            bounded = np.ones(len(block), dtype=bool)
+            for i, obj in enumerate(block):
+                tab.price(self._cost(obj, sense))
+                bounded[i] = _run_simplex(tab, self.bland_after, self.max_iter) == "OPTIMAL"
+                X[i] = tab.solution()[: self.n_vars]
+            out = values[start : start + len(block)]
+            out[bounded] = np.einsum("ij,ij->i", block[bounded], self._checked(X[bounded]))
+            out[~bounded] = -np.inf if sense == "min" else np.inf
+        return values
 
     def scaled_violation(self, x: np.ndarray) -> np.ndarray:
         """By how much x breaks each row (<= 0 where it holds), in units of
@@ -248,6 +297,8 @@ class PreparedLp:
         return _violation(self._rows, x) / self._largest
 
     def _checked(self, x: np.ndarray) -> np.ndarray:
+        """x, or a stack of witnesses, once each meets every row to
+        10 * TAU_LP and has no entry below -10 * TAU_LP."""
         if not np.all(_violation(self._rows, x) <= 10 * TAU_LP):
             raise NumericalFailureError("solver returned an infeasible witness")
         if np.any(x < -10 * TAU_LP):
@@ -265,16 +316,24 @@ def solve(lp: LinearProgram) -> LpResult:
 
 def _drive_out_artificials(tab: _Tableau, n_structural: int):
     """Pivot zero-level artificials out of the basis, then drop redundant
-    rows and the artificial columns."""
+    rows and the artificial columns.
+
+    Each artificial leaves on its row's largest |structural entry|. Phase 1
+    has certified the row's rhs as zero to within TAU_LP, so it is set to
+    zero first: pivoting on a zero-rhs row then moves no other basic
+    variable, whereas a leftover 1e-12 over a small pivot could push one
+    far below zero."""
     keep = np.ones(len(tab.basis), dtype=bool)
     for row in np.flatnonzero(tab.basis >= n_structural):
-        pivots = np.flatnonzero(np.abs(tab.T[row, :n_structural]) > PIVOT_TOL)
-        if pivots.size:
-            tab.pivot(row, int(pivots[0]))
+        entries = np.abs(tab.T[row, :n_structural])
+        if entries.size and entries.max() > PIVOT_TOL:
+            tab.T[row, -1] = 0.0
+            tab.pivot(row, int(np.argmax(entries)))
         else:
             keep[row] = False  # row is redundant: all-zero in structural cols
+    keep = np.append(keep, True)  # the cost row
     tab.T = np.delete(tab.T[keep], np.s_[n_structural:-1], axis=1)
-    tab.basis = tab.basis[keep]
+    tab.basis = tab.basis[keep[:-1]]
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,8 +3,10 @@ one-parameter families.
 
 A credal set is one of three representations, and each answers
 ``extremes(weights)``: the lowest and highest value of ``weights . p``
-over its members, with a member attaining each. Envelopes, bet verdicts
-and lower envelopes read their answers from it.
+over its members, with a member attaining each. Envelopes and bet
+verdicts read their answers from it. ``ranges(rows)`` gives the same
+lowest and highest values, without members, for a stack of weight rows
+at once; lower envelopes read theirs from it.
 
 * ``VertexSet`` — a finite (generally nonconvex) set of distributions.
   Polytopes are represented by ``LinearSystem``, not by their vertex
@@ -58,6 +60,8 @@ from .spaces import Event, OutcomeSpace, coin_space
 from .tolerances import TAU_LP, TAU_NORM, TAU_ZERO
 
 GRID_STEP = 1e-4
+# vertex values held at once by VertexSet.ranges
+_RANGE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,6 +122,19 @@ class VertexSet:
         lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
         return float(vals[lo]), self.vertices[lo], float(vals[hi]), self.vertices[hi]
 
+    def ranges(self, rows: np.ndarray):
+        """(lowest, highest) of row . p over the vertices for each row of
+        weights, as two arrays, one block of rows per matrix product."""
+        rows = np.asarray(rows)
+        V = np.stack([v.probs for v in self.vertices])
+        lows, highs = np.empty(len(rows)), np.empty(len(rows))
+        step = max(1, _RANGE_BLOCK // len(V))
+        for start in range(0, len(rows), step):
+            vals = rows[start : start + step] @ V.T
+            lows[start : start + step] = vals.min(axis=1)
+            highs[start : start + step] = vals.max(axis=1)
+        return lows, highs
+
     def sample(self, k: int, rng: np.random.Generator) -> list[Distribution]:
         idx = rng.integers(0, len(self.vertices), size=k)
         return [self.vertices[i] for i in idx]
@@ -165,6 +182,13 @@ class LinearSystem:
             lo.value, _member_from_witness(self.space, lo.witness),
             hi.value, _member_from_witness(self.space, hi.witness),
         )
+
+    def ranges(self, rows: np.ndarray):
+        """(lowest, highest) of row . p over the system for each row of
+        weights, as two arrays, from one warm-started chain of LPs per
+        sense (``PreparedLp.optimize_many``)."""
+        prepared = self._prepared
+        return prepared.optimize_many(rows, "min"), prepared.optimize_many(rows, "max")
 
     def contains(self, d: Distribution, tol: float = TAU_LP) -> bool:
         """Whether d meets every explicit row to tol, each row divided by
@@ -461,6 +485,12 @@ class ParametricFamily:
             float(low[0]), self.member_at_scan(low[1], float(low[2])),
             float(high[3]), self.member_at_scan(high[1], float(high[4])),
         )
+
+    def ranges(self, rows: np.ndarray):
+        """(lowest, highest) of row . p over the members for each row of
+        weights, as two arrays, one ``extremes`` call per row."""
+        found = [self.extremes(w) for w in np.asarray(rows, dtype=float)]
+        return np.array([f[0] for f in found]), np.array([f[2] for f in found])
 
     def sample(self, k: int, rng: np.random.Generator) -> list[Distribution]:
         out: list[Distribution] = []

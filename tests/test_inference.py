@@ -33,13 +33,15 @@ from credal.errors import (
     NegativeMassError,
     NotFactorizedError,
     NotNormalizedError,
+    NumericalFailureError,
     SpaceMismatchError,
     SpaceTooLargeError,
     UnknownVariableError,
     ZeroEvidenceEverywhereError,
 )
+from credal import linprog, sets
 from credal.inference import lower_envelope_function, mobius_transform, zeta_transform
-from credal.linprog import PreparedLp, enumerate_polytope_vertices
+from credal.linprog import enumerate_polytope_vertices
 from credal.sets import IntervalDistribution
 
 
@@ -437,22 +439,24 @@ def test_lower_envelope_superadditive_on_disjoint_events(rng):
         assert lo_ab >= lo_a + lo_b - 1e-8
 
 
-# --- one extremes call per subset ------------------------------------------
+# --- one LP per subset ------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_lower_envelope_solves_one_lp_per_subset(monkeypatch, n):
+    """Counts runs of the one simplex driver during the sweep; the system's
+    phase 1 ran when it was built, so each of them is a phase-2 LP."""
     S = bounds_system(n, 0.05, 0.6)
-    senses = []
-    optimize = PreparedLp.optimize
+    runs = []
+    run_simplex = linprog._run_simplex
 
-    def counted(self, objective, sense):
-        senses.append(sense)
-        return optimize(self, objective, sense)
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return run_simplex(*args, **kwargs)
 
-    monkeypatch.setattr(PreparedLp, "optimize", counted)
+    monkeypatch.setattr(linprog, "_run_simplex", counted)
     bel = lower_envelope_function(S)
-    assert len(senses) == 2**n - 2
+    assert len(runs) == 2**n - 2
     assert bel.values[1] == pytest.approx(0.05, abs=1e-12)  # {w1}
     assert bel.values[2 ** (n - 1) - 1] == pytest.approx(0.4, abs=1e-12)  # all but w_n
 
@@ -488,3 +492,126 @@ def test_linear_system_extremes_match_its_vertices(seed):
     np.testing.assert_allclose(
         lower_envelope_function(S).values, lower_envelope_function(hull).values, atol=1e-9
     )
+
+
+# --- warm-started sweeps -----------------------------------------------------
+
+
+def messy_system(seed: int) -> LinearSystem:
+    """A system on 3 to 12 atoms through a random distribution x0 that mixes
+    <=, >= and = rows. About a third of the inequalities hold at x0 with no
+    margin (tight rows, which make the LPs degenerate), some rows are
+    repeated, and every row is scaled by 10^k for k in [-4, 4]."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 13))
+    x0 = rng.dirichlet(np.ones(n))
+    rows = []
+    for _ in range(int(rng.integers(1, 8))):
+        a = rng.normal(size=n) * (rng.random(n) < 0.7)
+        rel = str(rng.choice(["<=", ">=", "="], p=[0.4, 0.4, 0.2]))
+        margin = 0.0 if rel == "=" or rng.random() < 0.3 else rng.uniform(0.01, 0.3)
+        rows.append((a, rel, float(a @ x0) + (-margin if rel == ">=" else margin)))
+        if rng.random() < 0.2:
+            rows.append(rows[-1])
+    scales = 10.0 ** rng.uniform(-4, 4, size=len(rows))
+    return LinearSystem(
+        simple_space(*(f"w{j}" for j in range(n))),
+        tuple(constraint(a * k, rel, rhs * k) for (a, rel, rhs), k in zip(rows, scales)),
+    )
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_warm_sweep_matches_cold_extremes(seed):
+    """The warm-started sweep against one cold min and max LP per subset."""
+    S = messy_system(seed)
+    n = S.space.size
+    full = 2**n - 1
+    cold = np.zeros(full + 1)
+    cold[full] = 1.0
+    for mask in range(1, 2 ** (n - 1)):
+        lower, _, upper, _ = S.extremes((mask >> np.arange(n)) & 1)
+        cold[mask] = lower
+        cold[full ^ mask] = 1.0 - upper
+    np.testing.assert_allclose(lower_envelope_function(S).values, cold, rtol=0, atol=1e-12)
+
+
+def random_rows(rng, n):
+    """Weight rows: signed reals, then 0/1 indicators as the sweep uses."""
+    return np.concatenate([rng.normal(size=(6, n)), rng.random((6, n)) < 0.5]).astype(float)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ranges_agree_with_extremes(monkeypatch, seed):
+    """ranges, row by row, against extremes on all three representations;
+    small blocks make VertexSet.ranges and optimize_many cross blocks."""
+    monkeypatch.setattr(sets, "_RANGE_BLOCK", 5)
+    monkeypatch.setattr(linprog, "_CHECK_BLOCK", 4)
+    rng = np.random.default_rng(seed)
+    system = messy_system(seed)
+    n = system.space.size
+    points = VertexSet(tuple(
+        make_distribution(system.space, p) for p in rng.dirichlet(np.ones(n), size=7)
+    ))
+    family = coin_family(0.1 + 0.1 * seed, 0.6 + 0.05 * seed, 2 + seed % 3)
+    for S in (system, points, family):
+        rows = random_rows(rng, S.space.size)
+        low, high = S.ranges(rows)
+        assert low.shape == high.shape == (len(rows),)
+        for w, lo, hi in zip(rows, low, high):
+            want = S.extremes(w)
+            assert lo == pytest.approx(want[0], abs=1e-12)
+            assert hi == pytest.approx(want[2], abs=1e-12)
+
+
+def test_optimize_many_refuses_a_bad_witness():
+    """A tableau whose basic solution is off the rows (its rhs corrupted
+    under a structural basic variable) must fail the witness check."""
+    S = bounds_system(4, 0.1, 0.5)
+    prepared = linprog.PreparedLp(4, S.full_constraints())
+    tab = prepared._tab.copy()
+    tab.T[int(np.flatnonzero(tab.basis < 4)[0]), -1] += 0.5
+    prepared._tab = tab
+    with pytest.raises(NumericalFailureError, match="infeasible witness"):
+        prepared.optimize_many(np.eye(4), "min")
+
+
+def marginal_vector_cloud(seed: int, n: int = 5) -> tuple[VertexSet, np.ndarray]:
+    """The distinct marginal vectors of a random belief function on n atoms,
+    as a VertexSet, and the belief function. Each nonempty subset carries
+    mass with chance 0.4, Dirichlet(1) weights over those that do. The
+    vectors are the vertices of the core, so the set's lower envelope is the
+    belief function and its hull is the core; ties among them make the
+    hull programs degenerate and rank-deficient."""
+    rng = np.random.default_rng(seed)
+    present = np.flatnonzero(rng.random(2**n - 1) < 0.4) + 1
+    m = np.zeros(2**n)
+    m[present] = rng.dirichlet(np.ones(present.size))
+    bel = zeta_transform(m)
+    points = set()
+    for perm in itertools.permutations(range(n)):
+        v = np.zeros(n)
+        mask, prev = 0, 0.0
+        for i in perm:
+            mask |= 1 << i
+            v[i] = bel[mask] - prev
+            prev = bel[mask]
+        points.add(tuple(v / v.sum()))
+    space = simple_space(*(f"w{j}" for j in range(n)))
+    return VertexSet(tuple(make_distribution(space, np.array(p)) for p in sorted(points))), bel
+
+
+@pytest.mark.parametrize("seed", [25, 60, 252, 324])
+def test_mobius_report_on_marginal_vector_clouds(seed):
+    """Clouds on which driving artificials out on the first usable entry
+    left a hull witness entry far below zero (NumericalFailureError)."""
+    S, bel = marginal_vector_cloud(seed)
+    rep = mobius_report(S)
+    np.testing.assert_allclose(rep.bel.values, bel, rtol=0, atol=1e-9)
+    assert rep.envelope_is_belief
+    assert rep.set_equals_core is True
+    for v in S.vertices[:: max(1, len(S.vertices) // 8)]:
+        hull = hull_membership(v, list(S.vertices))
+        assert hull.inside
+        np.testing.assert_allclose(hull.weights @ np.stack([u.probs for u in S.vertices]),
+                                   v.probs, rtol=0, atol=1e-9)

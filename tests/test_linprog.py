@@ -17,7 +17,8 @@ from credal import (
     simple_space,
     solve,
 )
-from credal.errors import DenominatorVanishesError, SpaceMismatchError
+from credal.errors import DenominatorVanishesError, InfeasibleSystemError, SpaceMismatchError
+from credal.linprog import PreparedLp
 
 
 def bounds_constraints(n, lo, hi):
@@ -72,6 +73,30 @@ def test_unbounded_detection():
         )
     )
     assert res.status == "UNBOUNDED"
+
+
+def test_optimize_many_matches_optimize_and_marks_unbounded_rows():
+    """Over x0 - x1 <= 1, x >= 0 the rays are (a, b) with b >= a >= 0, so
+    three rows are unbounded in each sense; the chain goes on after an
+    unbounded row from the basis it stopped in."""
+    prepared = PreparedLp(2, (constraint(np.array([1.0, -1.0]), "<=", 1.0),))
+    rows = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 0.5], [2.0, -3.0], [0.0, 1.0]])
+    lows = prepared.optimize_many(rows, "min")
+    highs = prepared.optimize_many(rows, "max")
+    for w, lo, hi in zip(rows, lows, highs):
+        for sense, got in (("min", lo), ("max", hi)):
+            res = prepared.optimize(w, sense)
+            if res.status == "UNBOUNDED":
+                assert got == (-np.inf if sense == "min" else np.inf)
+            else:
+                assert got == pytest.approx(res.value, abs=1e-12)
+    assert np.isinf(highs).sum() == np.isinf(lows).sum() == 3
+
+
+def test_optimize_many_refuses_an_infeasible_program():
+    rows = (constraint(np.ones(2), ">=", 2.0), constraint(np.ones(2), "<=", 1.0))
+    with pytest.raises(InfeasibleSystemError):
+        PreparedLp(2, rows).optimize_many(np.eye(2), "min")
 
 
 def test_witness_feasible_and_value_consistent(rng):

@@ -12,6 +12,8 @@ infeasible, column scaling hides an improving ray, and a row with tiny
 coefficients is met only to within its tolerance.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,76 @@ def check_against_highs(n, rows, objective, sense):
 @given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS))
 def test_kernel_matches_highs(seed, kind):
     check_against_highs(*random_program(seed, kind))
+
+
+def redundant_program(seed: int):
+    """(n, rows, objective, sense) of a feasible program whose equality rows
+    include exact linear combinations of other rows.
+
+    Two to four independent equality rows pass through a point x0, and one
+    to three more are sums of small integer multiples of them. Coefficients
+    are small integers and x0 is a multiple of 1/8, so every sum is exact in
+    floating point; each row is then scaled by a power of two (also exact).
+    A cap on sum(x) and a few inequalities through x0, some tight, bound it.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    x0 = rng.integers(0, 9, size=n) / 8.0
+    base = rng.integers(-3, 4, size=(int(rng.integers(2, 5)), n)).astype(float)
+    combos = rng.integers(-2, 3, size=(int(rng.integers(1, 4)), len(base))) @ base
+    rows = [(a, "=", float(a @ x0)) for a in np.concatenate([base, combos])]
+    for _ in range(int(rng.integers(0, 3))):
+        a = rng.integers(-3, 4, size=n).astype(float)
+        rel = str(rng.choice(["<=", ">="]))
+        rows.append((a, rel, float(a @ x0) + SHIFT[rel] * int(rng.integers(0, 2))))
+    rows.append((np.ones(n), "<=", float(x0.sum()) + 1.0))
+    order = rng.permutation(len(rows))
+    scaled = [
+        constraint(rows[i][0] * 2.0 ** k, rows[i][1], rows[i][2] * 2.0 ** k)
+        for i, k in zip(order, rng.integers(-20, 21, size=len(rows)))
+    ]
+    return n, tuple(scaled), rng.normal(size=n), str(rng.choice(["min", "max"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_redundant_equality_rows(seed):
+    check_against_highs(*redundant_program(seed))
+
+
+def marginal_vectors(seed: int) -> np.ndarray:
+    """The distinct marginal vectors of a random belief function on 5 atoms
+    (each nonempty subset carries mass with chance 0.4, Dirichlet(1)
+    weights), one per row. They tie heavily."""
+    rng = np.random.default_rng(seed)
+    present = np.flatnonzero(rng.random(31) < 0.4) + 1
+    mass = np.zeros(32)
+    mass[present] = rng.dirichlet(np.ones(present.size))
+    masks = np.arange(32)
+    bel = np.array([mass[(masks & ~A) == 0].sum() for A in masks])
+    points = set()
+    for perm in itertools.permutations(range(5)):
+        v, mask = np.zeros(5), 0
+        for i in perm:
+            v[i] = bel[mask | 1 << i] - bel[mask]
+            mask |= 1 << i
+        points.add(tuple(v / v.sum()))
+    return np.array(sorted(points))
+
+
+@pytest.mark.parametrize("seed", [60, 324])
+def test_hull_programs_at_marginal_vectors(seed):
+    """Hull-membership programs queried at each of their own points. The
+    sum-of-weights row is implied by the atom rows, because every point
+    sums to 1. On both seeds, driving artificials out on the first usable
+    entry left a witness entry far below zero."""
+    V = marginal_vectors(seed)
+    objective = np.random.default_rng(seed).normal(size=len(V))
+    for target in V:
+        rows = [constraint(V[:, j], "=", target[j]) for j in range(5)]
+        rows.append(constraint(np.ones(len(V)), "=", 1.0))
+        check_against_highs(len(V), tuple(rows), np.zeros(len(V)), "min")
+        check_against_highs(len(V), tuple(rows), objective, "min")
 
 
 @pytest.mark.parametrize(

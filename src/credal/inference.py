@@ -8,7 +8,6 @@ capped at 20 atoms for any 2**n enumeration.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -25,7 +24,7 @@ from .errors import (
     ZeroEvidenceError,
     ZeroEvidenceEverywhereError,
 )
-from .linprog import constraint, enumerate_polytope_vertices, fractional_optimize, hull_membership
+from .linprog import _stack, constraint, enumerate_polytope_vertices, hull_membership
 from .sets import (
     CredalSet,
     IntervalDistribution,
@@ -90,15 +89,12 @@ def conditionalize(S: CredalSet, e: Event) -> CredalSet:
     if isinstance(S, LinearSystem):
         prepared = _ratio_program(S, e.indicator(), ZeroEvidenceEverywhereError)
         n = S.space.size
-        lo = np.zeros(n)
-        hi = np.zeros(n)
-        for j in e.indices:
-            atom = np.zeros(n)
-            atom[j] = 1.0
-            lo[j] = max(0.0, fractional_optimize(prepared, atom, "min"))
-            hi[j] = min(1.0, fractional_optimize(prepared, atom, "max"))
-        iv = IntervalDistribution(S.space, lo, hi)
-        return interval_to_linear_system(iv)
+        idx = list(e.indices)
+        atoms = np.eye(n + 1)[idx]  # p_j as a ratio objective over (y, t)
+        lo, hi = np.zeros(n), np.zeros(n)
+        lo[idx] = np.maximum(0.0, prepared.optimize_many(atoms, "min"))
+        hi[idx] = np.minimum(1.0, prepared.optimize_many(atoms, "max"))
+        return interval_to_linear_system(IntervalDistribution(S.space, lo, hi))
 
     try:
         env = envelope(S, e)
@@ -420,35 +416,27 @@ def _set_equals_core(S: CredalSet, bel: np.ndarray, is_belief: bool) -> bool | N
     """Does S coincide with {p : p(A) >= Bel(A)}?
 
     S is always inside the core (Bel is its lower envelope), so only
-    core-inside-S needs deciding. For a LinearSystem that is exact: each
-    constraint of S is maximally violated over the core by an LP. For a
-    VertexSet the core's vertices are tested for hull membership, which
-    compares the core against conv(S); vertices come from permutation
-    marginals when Bel is a belief function (exact for 2-monotone
-    capacities) and brute-force enumeration on small frames otherwise.
-    Families are never core-shaped unless they are a single point.
+    core-inside-S needs deciding. For a LinearSystem that is exact: one
+    ``ranges`` call over the core gives the worst case of each constraint.
+    A VertexSet with a belief-function Bel goes to ``_chains_all_tight``;
+    other VertexSets are checked against the core's vertices, enumerated by
+    brute force, up to 5 atoms and undecided (None) above. Families are
+    never core-shaped unless they are a single point.
     """
     space = S.space
     n = space.size
-    core = core_of_belief(space, bel)
 
     if isinstance(S, LinearSystem):
-        for c in S.constraints:
-            if c.relation in ("<=", "="):
-                worst = core.optimize(c.coeffs, "max")
-                if worst.value > c.rhs + TAU_LP:
-                    return False
-            if c.relation in (">=", "="):
-                worst = core.optimize(c.coeffs, "min")
-                if worst.value < c.rhs - TAU_LP:
-                    return False
-        return True
+        A, b, sign = _stack(n, S.constraints)
+        lows, highs = core_of_belief(space, bel).ranges(A)
+        return not np.any((sign >= 0) & (highs > b + TAU_LP) | (sign <= 0) & (lows < b - TAU_LP))
 
     if isinstance(S, VertexSet):
-        vertices = _core_vertices(core, bel, is_belief)
-        if vertices is None:
+        if is_belief:
+            return _chains_all_tight(np.stack([v.probs for v in S.vertices]), bel)
+        if n > 5:
             return None
-        for v in vertices:
+        for v in enumerate_polytope_vertices(n, core_of_belief(space, bel).full_constraints()):
             if not hull_membership(_member_from_witness(space, v), list(S.vertices)).inside:
                 return False
         return True
@@ -466,22 +454,30 @@ def _set_equals_core(S: CredalSet, bel: np.ndarray, is_belief: bool) -> bool | N
     return bool(abs(singleton_total - 1.0) <= TAU_LP)
 
 
-def _core_vertices(core: LinearSystem, bel: np.ndarray, is_belief: bool):
-    n = core.space.size
-    if is_belief:
-        seen: list[np.ndarray] = []
-        for perm in itertools.permutations(range(n)):
-            v = np.zeros(n)
-            mask = 0
-            prev = 0.0
-            for i in perm:
-                mask |= 1 << i
-                v[i] = bel[mask] - prev
-                prev = bel[mask]
-            if not any(np.all(np.abs(v - u) <= 1e-10) for u in seen):
-                seen.append(v)
-        return seen
-    if n > 5:
-        return None
-    verts = enumerate_polytope_vertices(n, core.full_constraints())
-    return list(verts)
+def _chains_all_tight(V: np.ndarray, bel: np.ndarray) -> bool:
+    """Whether conv(V) (points as rows) holds every marginal vector m_pi of
+    the belief function Bel, i.e. equals its core (Shapley 1971). A convex
+    combination of points attaining Bel on every set of pi's chain uses
+    only points that do, and such a point is m_pi; so a depth-first walk
+    over states (A, bitmask of the points tight on every set of the chain
+    so far), each visited once, fails at the first chain no point follows.
+    """
+    n = V.shape[1]
+    tight = [0] * len(bel)  # per subset A, the bitmask of points p with p(A) = Bel(A)
+    masses = np.zeros(len(bel))
+    for j, v in enumerate(V):
+        masses[1 << np.arange(n)] = v
+        meets = (zeta_transform(masses) - bel <= TAU_LP).tolist()
+        tight = [t | m << j for t, m in zip(tight, meets)]
+    stack = [(0, (1 << len(V)) - 1)]
+    seen = set(stack)
+    while stack:
+        A, points = stack.pop()
+        for B in [A | 1 << i for i in range(n)]:  # an i in A gives (A, points) back
+            left = points & tight[B]
+            if not left:
+                return False
+            if (B, left) not in seen:
+                seen.add((B, left))
+                stack.append((B, left))
+    return True

@@ -156,8 +156,11 @@ def _run_simplex(tab: _Tableau, bland_after: int, max_iter: int) -> str:
             return "UNBOUNDED"
         ratios = T[rows, -1] / col[rows]
         tied = rows[ratios <= ratios.min() + TAU_ZERO]
-        # smallest basis index among ties keeps Bland's rule intact
-        leave = tied[tab.basis[tied].argmin()]
+        if it < bland_after:
+            # the largest pivot among ties: a tiny one spreads rounding error
+            leave = tied[col[tied].argmax()]
+        else:
+            leave = tied[tab.basis[tied].argmin()]  # Bland: smallest basis index
         tab.pivot(leave, enter)
     raise NumericalFailureError(f"simplex exceeded {max_iter} iterations")
 

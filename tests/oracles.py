@@ -2,12 +2,20 @@
 
 Everything here is deliberately written without touching the package's
 solver or transforms: vertex enumeration uses itertools plus
-numpy.linalg.solve, and subset sums are explicit double loops.
+numpy.linalg.solve, and subset sums are explicit double loops. The two
+core-equality references are the exception: they keep the library's
+former LP-based answers (a permutation walk with one hull program per
+marginal vector, and one program per constraint over the core) to check
+the chain walk and the stacked ``ranges`` call that replaced them.
 """
 
 import itertools
 
 import numpy as np
+
+from credal.inference import core_of_belief
+from credal.linprog import hull_membership
+from credal.sets import _member_from_witness
 
 
 def feasible(rows, x, tol=1e-9):
@@ -70,6 +78,44 @@ def mobius_by_subset_sums(bel):
                 total += (-1) ** (len(A) - r) * bel[frozenset(B)]
         m[A] = total
     return m
+
+
+def marginal_vectors(bel, n):
+    """The distinct marginal vectors m_pi of a set function on n atoms,
+    one per permutation pi of the atoms, deduplicated to 1e-10."""
+    seen = []
+    for perm in itertools.permutations(range(n)):
+        v = np.zeros(n)
+        mask = 0
+        prev = 0.0
+        for i in perm:
+            mask |= 1 << i
+            v[i] = bel[mask] - prev
+            prev = bel[mask]
+        if not any(np.all(np.abs(v - u) <= 1e-10) for u in seen):
+            seen.append(v)
+    return seen
+
+
+def vertex_set_equals_core(S, bel):
+    """Whether conv(S) equals the core of the belief function bel: every
+    marginal vector passes the hull-membership program."""
+    for v in marginal_vectors(bel, S.space.size):
+        if not hull_membership(_member_from_witness(S.space, v), list(S.vertices)).inside:
+            return False
+    return True
+
+
+def linear_system_equals_core(S, bel, tol=1e-8):
+    """Whether the LinearSystem S contains the core of bel: one program
+    per constraint of S for its worst case over the core."""
+    core = core_of_belief(S.space, bel)
+    for c in S.constraints:
+        if c.relation in ("<=", "=") and core.optimize(c.coeffs, "max").value > c.rhs + tol:
+            return False
+        if c.relation in (">=", "=") and core.optimize(c.coeffs, "min").value < c.rhs - tol:
+            return False
+    return True
 
 
 # --- parametric families -------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import linear_system_equals_core, marginal_vectors, vertex_set_equals_core
+
 from credal import (
     Event,
     LinearSystem,
@@ -615,3 +617,106 @@ def test_mobius_report_on_marginal_vector_clouds(seed):
         assert hull.inside
         np.testing.assert_allclose(hull.weights @ np.stack([u.probs for u in S.vertices]),
                                    v.probs, rtol=0, atol=1e-9)
+
+
+# --- set equals core -----------------------------------------------------
+
+CORE_TEST_KINDS = ("cloud", "cloud-dropped", "random", "point", "segment")
+
+
+def core_test_set(kind: str, seed: int) -> VertexSet:
+    """A VertexSet on 3 to 6 atoms: the marginal vectors of a belief
+    function with mass on up to four random subsets (all of them, or one
+    dropped), random points, one point, or a segment with its midpoint."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    if kind.startswith("cloud"):
+        m = np.zeros(2**n)
+        k = int(rng.integers(1, 5))
+        m[rng.integers(1, 2**n, size=k)] = rng.dirichlet(np.ones(k))
+        points = marginal_vectors(zeta_transform(m), n)
+        if kind == "cloud-dropped" and len(points) > 1:
+            points.pop(int(rng.integers(len(points))))
+    elif kind == "random":
+        alpha = rng.choice([0.3, 1.0, 3.0])
+        points = list(rng.dirichlet(np.full(n, alpha), size=int(rng.integers(2, 7))))
+    elif kind == "point":
+        points = [rng.dirichlet(np.ones(n))]
+    else:
+        a, b = rng.dirichlet(np.ones(n), size=2)
+        points = [a, b, (a + b) / 2]
+    space = simple_space(*(f"w{j}" for j in range(n)))
+    return VertexSet(tuple(make_distribution(space, p / p.sum()) for p in points))
+
+
+@given(kind=st.sampled_from(CORE_TEST_KINDS), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_vertex_set_core_check_matches_the_permutation_walk(kind, seed):
+    """The chain walk against the hull program of every marginal vector."""
+    S = core_test_set(kind, seed)
+    bel = lower_envelope_function(S).values
+    if mobius_transform(bel).min() < -1e-8:
+        return  # not a belief function: the brute-force path decides
+    rep = mobius_report(S)
+    assert rep.envelope_is_belief
+    assert rep.set_equals_core is vertex_set_equals_core(S, bel)
+
+
+@pytest.mark.parametrize("seed", [25, 60])
+def test_core_check_on_clouds_of_more_than_64_points(seed):
+    S, _ = marginal_vector_cloud(seed)
+    assert len(S.vertices) > 64
+    assert mobius_report(S).set_equals_core is True
+    for drop in (0, 64, len(S.vertices) - 1):
+        rest = VertexSet(S.vertices[:drop] + S.vertices[drop + 1 :])
+        assert mobius_report(rest).set_equals_core is vertex_set_equals_core(
+            rest, lower_envelope_function(rest).values
+        )
+
+
+def test_one_point_set_is_its_core_at_twelve_atoms():
+    space = simple_space(*(f"w{j}" for j in range(12)))
+    p = make_distribution(space, np.random.default_rng(12).dirichlet(np.ones(12)))
+    rep = mobius_report(VertexSet((p,)))
+    assert rep.envelope_is_belief
+    assert rep.set_equals_core is True
+
+
+def test_belief_vertex_set_core_check_builds_no_program(monkeypatch):
+    built = []
+    init = linprog.PreparedLp.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(linprog.PreparedLp, "__init__", counting_init)
+    S, _ = marginal_vector_cloud(60)
+    assert mobius_report(S).set_equals_core is True
+    assert mobius_report(VertexSet(S.vertices[1:])).set_equals_core is False
+    assert built == []
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_linear_system_core_check_matches_per_row_programs(seed):
+    """Odd seeds: a box of per-atom bounds. Even seeds: a polytope of
+    <=, >= and = rows. Both hold a random point."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    space = simple_space(*(f"w{j}" for j in range(n)))
+    center = rng.dirichlet(np.ones(n))
+    if seed % 2:
+        lo = center * rng.uniform(0.0, 1.0, n)
+        hi = np.minimum(1.0, center + rng.uniform(0.0, 0.3, n))
+        S = interval_to_linear_system(IntervalDistribution(space, lo, hi))
+    else:
+        rows = []
+        for _ in range(int(rng.integers(1, 5))):
+            a = rng.normal(size=n)
+            relation = str(rng.choice(["<=", ">=", "="], p=[0.45, 0.45, 0.1]))
+            slack = {"<=": 1.0, ">=": -1.0, "=": 0.0}[relation] * rng.uniform(0.0, 0.3)
+            rows.append(constraint(a, relation, float(a @ center) + slack))
+        S = LinearSystem(space, tuple(rows))
+    rep = mobius_report(S)
+    assert rep.set_equals_core is linear_system_equals_core(S, rep.bel.values)

@@ -18,6 +18,7 @@ from credal import (
     solve,
 )
 from credal.errors import DenominatorVanishesError, InfeasibleSystemError, SpaceMismatchError
+from credal.inference import zeta_transform
 from credal.linprog import PreparedLp
 
 
@@ -31,7 +32,7 @@ def bounds_constraints(n, lo, hi):
     return rows
 
 
-from oracles import vertices_of as oracle_vertices
+from oracles import marginal_vectors, vertices_of as oracle_vertices
 
 
 def test_bound_system_max(die6=None):
@@ -214,3 +215,30 @@ def test_fractional_bounds_denominator_vanishes():
     system = LinearSystem(sp, (constraint(np.array([1.0, 0.0]), "=", 1.0),))
     with pytest.raises(DenominatorVanishesError):
         fractional_bounds(system, Event.of(sp, "b"), Event.of(sp, "b"), "max")
+
+
+def four_mass_cloud(seed: int) -> list:
+    """The distinct marginal vectors (rounded to 12 digits, normalised) of
+    a belief function on 3 to 5 atoms with mass on four random subsets."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 6))
+    m = np.zeros(2**n)
+    subsets = rng.integers(1, 2**n, size=4)
+    m[subsets] = rng.dirichlet(np.ones(4))
+    points = {tuple(np.round(v, 12)) for v in marginal_vectors(zeta_transform(m), n)}
+    space = simple_space(*(f"w{j}" for j in range(n)))
+    return [make_distribution(space, np.array(p) / sum(p)) for p in sorted(points)]
+
+
+@pytest.mark.parametrize("seed,j", [(151, 9), (444, 6), (492, 18)])
+def test_hull_membership_of_a_vertex_against_the_others(seed, j):
+    """Points just outside the hull of the rest of their cloud. The
+    separation program's zero-rhs rows tie in the ratio test; leaving on
+    the smallest basis index pivoted on a tiny entry, and the witness check
+    raised NumericalFailureError."""
+    cloud = four_mass_cloud(seed)
+    point, rest = cloud[j], cloud[:j] + cloud[j + 1 :]
+    res = hull_membership(point, rest)
+    assert res.inside is False
+    assert float(res.normal @ point.probs) > res.offset
+    assert all(float(res.normal @ v.probs) <= res.offset + 1e-8 for v in rest)

@@ -470,14 +470,14 @@ def _chains_all_tight(V: np.ndarray, bel: np.ndarray) -> bool:
         meets = (zeta_transform(masses) - bel <= TAU_LP).tolist()
         tight = [t | m << j for t, m in zip(tight, meets)]
     stack = [(0, (1 << len(V)) - 1)]
-    seen = set(stack)
+    seen = set()  # state (B, left) as the one int left << n | B: half a tuple's memory
     while stack:
         A, points = stack.pop()
         for B in [A | 1 << i for i in range(n)]:  # an i in A gives (A, points) back
             left = points & tight[B]
             if not left:
                 return False
-            if (B, left) not in seen:
-                seen.add((B, left))
+            if left << n | B not in seen:
+                seen.add(left << n | B)
                 stack.append((B, left))
     return True

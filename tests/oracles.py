@@ -80,9 +80,9 @@ def mobius_by_subset_sums(bel):
     return m
 
 
-def marginal_vectors(bel, n):
+def marginal_vectors(bel, n, tol=1e-10):
     """The distinct marginal vectors m_pi of a set function on n atoms,
-    one per permutation pi of the atoms, deduplicated to 1e-10."""
+    one per permutation pi of the atoms, deduplicated to tol."""
     seen = []
     for perm in itertools.permutations(range(n)):
         v = np.zeros(n)
@@ -92,7 +92,7 @@ def marginal_vectors(bel, n):
             mask |= 1 << i
             v[i] = bel[mask] - prev
             prev = bel[mask]
-        if not any(np.all(np.abs(v - u) <= 1e-10) for u in seen):
+        if not any(np.all(np.abs(v - u) <= tol) for u in seen):
             seen.append(v)
     return seen
 

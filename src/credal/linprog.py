@@ -410,14 +410,6 @@ def prepare_fractional(
     return PreparedLp(n_vars + 1, tuple(rows))
 
 
-def fractional_optimize(prepared: PreparedLp, numerator: np.ndarray, sense: str) -> float:
-    """The min or max of one ratio objective, nan if the program fails."""
-    if sense not in ("min", "max"):
-        raise ValueError("sense must be min or max")
-    res = prepared.optimize(np.append(numerator, 0.0), sense)
-    return float(res.value) if res.status == "OPTIMAL" else float("nan")
-
-
 def enumerate_polytope_vertices(
     n_vars: int,
     constraints: tuple[Constraint, ...],

@@ -54,7 +54,7 @@ from .errors import (
     ZeroEvidenceError,
 )
 from .linprog import (
-    Constraint, LpResult, PreparedLp, constraint, fractional_optimize, prepare_fractional,
+    Constraint, LpResult, PreparedLp, constraint, prepare_fractional,
 )
 from .spaces import Event, OutcomeSpace, coin_space
 from .tolerances import TAU_LP, TAU_NORM, TAU_ZERO
@@ -704,9 +704,11 @@ def fractional_bounds(
     """
     if event_num.space != system.space or event_den.space != system.space:
         raise SpaceMismatchError("events are over a different space")
+    if sense not in ("min", "max"):
+        raise ValueError("sense must be min or max")
     den = event_den.indicator()
     num = event_num.indicator() * den  # numerator restricted to A-and-E
-    value = fractional_optimize(_ratio_program(system, den, DenominatorVanishesError), num, sense)
-    if math.isnan(value):
+    res = _ratio_program(system, den, DenominatorVanishesError).optimize(np.append(num, 0.0), sense)
+    if res.status != "OPTIMAL":
         raise InfeasibleSystemError("fractional program unexpectedly infeasible")
-    return value
+    return res.value

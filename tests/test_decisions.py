@@ -2,21 +2,26 @@ import numpy as np
 import pytest
 
 from credal import (
+    IntervalDistribution,
     LinearSystem,
     UtilityMatrix,
     VertexSet,
     coin_family,
+    coin_space,
     constraint,
     e_admissible,
     e_admissible_over_hull,
     expected_utility,
     group_minimax,
     iid_coin,
+    interval_to_linear_system,
     make_distribution,
     mixture,
     optimal_actions,
     pareto_optimal,
+    simple_space,
 )
+from credal import linprog
 from credal.errors import EmptyGroupError, SpaceMismatchError, UnknownActionError
 
 
@@ -94,6 +99,53 @@ def test_inadmissible_linear_system_entry_carries_certificate(states3):
     entry = rep.entry("bad")
     assert not entry.admissible
     assert entry.certificate is not None and entry.certificate > 1e-8
+
+
+def test_tol_and_certificate_mean_the_same_on_every_representation():
+    """Admissible iff the best margin is >= -tol, certificate = -margin,
+    whether the set is finite, a polytope, a hull or a family."""
+    coin = coin_space(1)
+    p, q = iid_coin(0.3, 1), iid_coin(0.6, 1)
+
+    def reports(U, tol):
+        return [
+            e_admissible(U, VertexSet((p, q)), tol),
+            e_admissible(U, LinearSystem(coin, ()), tol),
+            e_admissible_over_hull(U, [p, q], tol),
+            e_admissible(U, coin_family(0.3, 0.6, 1), tol),
+        ]
+
+    close = UtilityMatrix(("x", "y"), coin, [[1, 1], [0.9, 0.9]])
+    for rep in reports(close, 0.5):
+        assert rep.admissible_actions == ("x", "y")
+        assert rep.entry("y").certificate == pytest.approx(0.1, abs=1e-9)
+    for rep in reports(close, 0.05):
+        assert rep.admissible_actions == ("x",)
+    dominated = UtilityMatrix(("good", "bad"), coin, [[2, 2], [1, 1]])
+    for rep in reports(dominated, 1e-8):
+        assert rep.admissible_actions == ("good",)
+        assert rep.entry("bad").witness is None
+        assert rep.entry("bad").certificate == pytest.approx(1.0, abs=1e-9)
+
+
+def test_polytope_and_hull_admissibility_build_one_program_per_call(monkeypatch):
+    space = simple_space(*(f"w{j}" for j in range(8)))
+    rng = np.random.default_rng(8)
+    box = interval_to_linear_system(IntervalDistribution(space, np.full(8, 0.05), np.full(8, 0.3)))
+    U = UtilityMatrix(tuple(f"a{i}" for i in range(8)), space, rng.uniform(0, 5, size=(8, 8)))
+    members = [make_distribution(space, rng.dirichlet(np.ones(8))) for _ in range(5)]
+    built = []
+    init = linprog.PreparedLp.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(linprog.PreparedLp, "__init__", counting_init)
+    assert len(e_admissible(U, box).admissible_actions) > 1
+    assert len(built) == 1
+    assert e_admissible_over_hull(U, members).admissible_actions
+    assert len(built) == 2
 
 
 def test_single_action_always_admissible(states3, opinions):

@@ -194,6 +194,13 @@ def test_fractional_bounds_trivial_cases():
     assert fractional_bounds(system, disjoint, e, "max") == pytest.approx(0.0, abs=1e-9)
 
 
+def test_fractional_bounds_rejects_a_bad_sense():
+    sp = simple_space("a", "b")
+    e = Event.of(sp, "a")
+    with pytest.raises(ValueError):
+        fractional_bounds(LinearSystem(sp, ()), e, e, "feasibility")
+
+
 def test_fractional_bounds_min_below_max(rng):
     sp = simple_space("a", "b", "c", "d")
     for _ in range(20):

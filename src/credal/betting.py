@@ -23,7 +23,7 @@ from numpy.polynomial import polynomial as P
 
 from .distributions import Distribution, coin_atom_polys, independent_square
 from .errors import SpaceMismatchError, UnsupportedFamilyError
-from .sets import CredalSet, VertexSet
+from .sets import _LEAD_TOL, CredalSet, VertexSet, _real_roots
 from .spaces import Event, OutcomeSpace
 from .tolerances import TAU_LP, TAU_STRICT
 
@@ -147,27 +147,25 @@ class ExpectationPolynomial:
     def __call__(self, p: float) -> float:
         return float(P.polyval(p, self.coefficients))
 
-    def real_roots(self, tol: float = 1e-9) -> tuple[float, ...]:
-        coeffs = np.array(self.coefficients)
-        if np.all(np.abs(coeffs) <= tol):
-            return ()
-        roots = P.polyroots(coeffs)
-        real = sorted(float(r.real) for r in np.atleast_1d(roots) if abs(r.imag) <= tol)
-        return tuple(real)
+    def real_roots(self) -> tuple[float, ...]:
+        return tuple(_roots(self.coefficients).tolist())
 
     def extremum_on(self, lo: float, hi: float, kind: str = "max") -> tuple[float, float]:
         """(value, argument) of the max or min over [lo, hi], via the
         endpoints and interior critical points."""
-        candidates = [lo, hi]
-        deriv = P.polyder(np.array(self.coefficients))
-        if len(deriv) > 1 or (len(deriv) == 1 and abs(deriv[0]) > 0):
-            if len(deriv) > 1:
-                for r in P.polyroots(deriv):
-                    if abs(r.imag) <= 1e-12 and lo < r.real < hi:
-                        candidates.append(float(r.real))
+        crit = _roots(P.polyder(self.coefficients))
+        candidates = [lo, hi, *crit[(crit > lo) & (crit < hi)].tolist()]
         values = [self(c) for c in candidates]
         pick = np.argmax(values) if kind == "max" else np.argmin(values)
         return values[pick], candidates[pick]
+
+
+def _roots(c) -> np.ndarray:
+    """Ascending real roots of a polynomial, from the family kernel's root
+    finder with the exact roots at 0 that it divides out put back."""
+    c = np.asarray(c, dtype=float)
+    zeros = np.zeros(np.argmax(c != 0) if c.any() else 0)
+    return np.sort(np.concatenate([zeros, _real_roots(c[None, :])[1]]))
 
 
 def _coin_tosses(space: OutcomeSpace) -> int:
@@ -188,8 +186,11 @@ def expectation_polynomial(book: BetBook, n_tosses: int | None = None) -> Expect
         raise UnsupportedFamilyError(
             f"book is over a {n}-toss space, not {n_tosses} tosses"
         )
-    total = P.polytrim(payoff_table(book).antagonist @ coin_atom_polys(n))
-    return ExpectationPolynomial(tuple(float(c) for c in total))
+    total = payoff_table(book).antagonist @ coin_atom_polys(n)
+    # trailing coefficients below the kernel's share of the largest are
+    # rounding left by cancellation, not a genuine degree
+    degree = np.flatnonzero(np.abs(total) > _LEAD_TOL * np.abs(total).max()).max(initial=0)
+    return ExpectationPolynomial(tuple(total[: degree + 1].tolist()))
 
 
 @dataclass(frozen=True)

@@ -515,7 +515,3 @@ def get_case(name: str) -> ExampleCase:
 
 def run_case(name: str) -> list[Check]:
     return get_case(name).run()
-
-
-def run_all() -> dict[str, list[Check]]:
-    return {name: REGISTRY[name].run() for name in REGISTRY}

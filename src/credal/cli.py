@@ -14,13 +14,14 @@ import sys
 import numpy as np
 
 from . import cases, fileio
-from .betting import booked_in_expectation, expectation_polynomial, expectation_under, payoff_table
+from .betting import (
+    _coin_tosses, booked_in_expectation, expectation_polynomial, expectation_under, payoff_table,
+)
 from .decisions import e_admissible, group_minimax, pareto_optimal
 from .errors import CredalError, ParseError, UnknownExampleError
 from .inference import conditionalize, envelope
 from .pooling import PoolingProblem, linear_pool, marginalization_commutes, nixon_report
 from .sets import LinearSystem, VertexSet, coin_family
-from .distributions import marginalize
 
 
 def money(v: float) -> str:
@@ -132,34 +133,14 @@ def cmd_condition(args) -> int:
             print("  " + "  ".join(f"{x:.6g}" for x in v.probs))
     elif isinstance(out, LinearSystem):
         print("conditional bounds (box form):")
+        lows, highs = np.clip(out.ranges(np.eye(out.space.size)), 0.0, 1.0)
         _print_table(
-            [
-                (atom, f"{lo:.6g}", f"{hi:.6g}")
-                for atom, lo, hi in _box_rows(out)
-            ],
+            [(a, f"{lo:.6g}", f"{hi:.6g}") for a, lo, hi in zip(out.space.atoms, lows, highs)],
             header=("atom", "lower", "upper"),
         )
     else:
         print("family conditioned on {" + ", ".join(event.atoms) + "}")
     return 0
-
-
-def _box_rows(system: LinearSystem):
-    n = system.space.size
-    lo = np.zeros(n)
-    hi = np.ones(n)
-    for c in system.constraints:
-        nz = np.nonzero(c.coeffs)[0]
-        if len(nz) != 1 or abs(c.coeffs[nz[0]] - 1.0) > 1e-12:
-            continue
-        j = nz[0]
-        if c.relation == ">=":
-            lo[j] = max(lo[j], c.rhs)
-        elif c.relation == "<=":
-            hi[j] = min(hi[j], c.rhs)
-        else:
-            lo[j] = hi[j] = c.rhs
-    return [(a, lo[j], hi[j]) for j, a in enumerate(system.space.atoms)]
 
 
 def cmd_decide(args) -> int:
@@ -309,7 +290,7 @@ def cmd_bet(args) -> int:
     if args.family == "coin":
         lo, hi = args.range
         poly = expectation_polynomial(book)
-        verdict = booked_in_expectation(book, coin_family(lo, hi, _tosses(book)))
+        verdict = booked_in_expectation(book, coin_family(lo, hi, _coin_tosses(book.space)))
         out.update(
             {
                 "polynomial_ascending": list(poly.coefficients),
@@ -343,12 +324,6 @@ def cmd_bet(args) -> int:
                 f"[{out['min_agent_expectation']:.6g}, {out['max_agent_expectation']:.6g}]"
             )
     return 0
-
-
-def _tosses(book) -> int:
-    from .betting import _coin_tosses
-
-    return _coin_tosses(book.space)
 
 
 def build_parser() -> argparse.ArgumentParser:

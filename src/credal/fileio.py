@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -321,7 +320,3 @@ def event_from_atoms(space: OutcomeSpace, atoms) -> Event:
 
 def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=False)
-
-
-def write_json(path, obj):
-    Path(path).write_text(dump_json(obj) + "\n")

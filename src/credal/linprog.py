@@ -38,6 +38,9 @@ from .tolerances import TAU_LP, TAU_ZERO
 
 RELATIONS = ("<=", "=", ">=")
 
+# the most plane choices enumerate_polytope_vertices tries
+MAX_VERTEX_COMBINATIONS = 2_000_000
+
 # Entries smaller than this are unusable as pivots.
 PIVOT_TOL = 1e-10
 
@@ -410,16 +413,13 @@ def prepare_fractional(
     return PreparedLp(n_vars + 1, tuple(rows))
 
 
-def enumerate_polytope_vertices(
-    n_vars: int,
-    constraints: tuple[Constraint, ...],
-    max_combinations: int = 2_000_000,
-) -> np.ndarray:
+def enumerate_polytope_vertices(n_vars: int, constraints: tuple[Constraint, ...]):
     """Brute-force vertex enumeration of {x >= 0, constraints}.
 
     Tries every choice of n_vars tight hyperplanes among the constraint
-    rows and the coordinate planes, keeping feasible solutions. Only
-    intended for small systems (the combination count is guarded).
+    rows and the coordinate planes, yielding each feasible solution as it
+    is found; a degenerate vertex repeats, once per choice that meets it.
+    Only intended for small systems (MAX_VERTEX_COMBINATIONS guards it).
     """
     rows = A, b, sign = _stack(n_vars, constraints)
     planes = np.vstack([A, np.eye(n_vars)])  # the rows, then the coordinate planes
@@ -428,9 +428,8 @@ def enumerate_polytope_vertices(
     forced = list(np.flatnonzero(equality))
     optional = np.flatnonzero(~equality)
     need = max(0, n_vars - len(forced))
-    if comb(len(optional), need) > max_combinations:
+    if comb(len(optional), need) > MAX_VERTEX_COMBINATIONS:
         raise NumericalFailureError("vertex enumeration would be too large")
-    vertices = []
     for extra in itertools.combinations(optional, need):
         chosen = forced + list(extra)
         if len(chosen) != n_vars:
@@ -444,12 +443,4 @@ def enumerate_polytope_vertices(
             and np.all(x >= -TAU_LP)
             and np.all(_violation(rows, x) <= TAU_LP)
         ):
-            vertices.append(x)
-    if not vertices:
-        return np.zeros((0, n_vars))
-    # dedupe within tolerance
-    unique: list[np.ndarray] = []
-    for v in vertices:
-        if not any(np.all(np.abs(v - u) <= 1e-9) for u in unique):
-            unique.append(v)
-    return np.array(unique)
+            yield x

@@ -636,15 +636,15 @@ def _horner(C: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _polish(C: np.ndarray, r: np.ndarray, steps: int = 2) -> np.ndarray:
-    """Newton steps on each root r[i] of row C[i], kept only where they
+def _polish(C: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Two Newton steps on each root r[i] of row C[i], kept only where they
     shrink the residual. The eigenvalues carry an error relative to the
     largest coefficient, which swamps a root near 1e-13 (where the
     evidence of an end atom crosses TAU_ZERO); Horner's residual near 0
     is accurate to the size of the terms."""
     dC = C[:, 1:] * np.arange(1, C.shape[1])
     f = _horner(C, r)
-    for _ in range(steps):
+    for _ in range(2):
         df = _horner(dC, r)
         trial = r - np.divide(f, df, out=np.zeros_like(f), where=df != 0)
         f_trial = _horner(C, trial)

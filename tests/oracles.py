@@ -2,11 +2,13 @@
 
 Everything here is deliberately written without touching the package's
 solver or transforms: vertex enumeration uses itertools plus
-numpy.linalg.solve, and subset sums are explicit double loops. The two
+numpy.linalg.solve, and subset sums are explicit double loops. The three
 core-equality references are the exception: they keep the library's
 former LP-based answers (a permutation walk with one hull program per
-marginal vector, and one program per constraint over the core) to check
-the chain walk and the stacked ``ranges`` call that replaced them.
+marginal vector, one hull program per enumerated core vertex, and one
+program per constraint over the core) to check the chain walk, the
+point-matching vertex rule and the stacked ``ranges`` call that replaced
+them.
 """
 
 import itertools
@@ -31,7 +33,9 @@ def feasible(rows, x, tol=1e-9):
 
 
 def vertices_of(n, rows):
-    """All vertices of {x >= 0} intersected with the constraint rows."""
+    """All vertices of {x >= 0} intersected with the constraint rows: one
+    batched solve over every choice of n planes with a nonzero determinant
+    (exactly those ``numpy.linalg.solve`` would not refuse)."""
     planes = [(np.asarray(c.coeffs), c.rhs, c.relation == "=") for c in rows]
     for j in range(n):
         e = np.zeros(n)
@@ -39,19 +43,12 @@ def vertices_of(n, rows):
         planes.append((e, 0.0, False))
     eq = [i for i, p in enumerate(planes) if p[2]]
     rest = [i for i, p in enumerate(planes) if not p[2]]
-    out = []
-    for extra in itertools.combinations(rest, n - len(eq)):
-        chosen = eq + list(extra)
-        A = np.stack([planes[i][0] for i in chosen])
-        b = np.array([planes[i][1] for i in chosen])
-        try:
-            x = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            continue
-        if np.any(x < -1e-9) or not feasible(rows, x):
-            continue
-        out.append(x)
-    return out
+    chosen = np.array([eq + list(extra) for extra in itertools.combinations(rest, n - len(eq))])
+    A = np.stack([p[0] for p in planes])[chosen]
+    b = np.array([p[1] for p in planes], dtype=float)[chosen]
+    regular = np.linalg.det(A) != 0
+    X = np.linalg.solve(A[regular], b[regular][..., None])[..., 0]
+    return [x for x in X[~np.any(X < -1e-9, axis=1)] if feasible(rows, x)]
 
 
 def interval_lower_envelopes(n, lo, hi):
@@ -104,6 +101,18 @@ def vertex_set_equals_core(S, bel):
         if not hull_membership(_member_from_witness(S.space, v), list(S.vertices)).inside:
             return False
     return True
+
+
+def vertex_set_equals_core_by_hulls(S, bel):
+    """Whether conv(S) equals the core of bel, for any set function bel:
+    every vertex of the core's rows passes the hull-membership program."""
+    found = []
+    for v in vertices_of(S.space.size, core_of_belief(S.space, bel).full_constraints()):
+        if not any(np.all(np.abs(v - u) <= 1e-9) for u in found):
+            found.append(v)
+    return all(
+        hull_membership(_member_from_witness(S.space, v), list(S.vertices)).inside for v in found
+    )
 
 
 def linear_system_equals_core(S, bel, tol=1e-8):

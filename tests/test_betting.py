@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credal import (
     BetBook,
@@ -8,6 +10,7 @@ from credal import (
     VertexSet,
     booked_in_expectation,
     coin_family,
+    coin_space,
     conditionalize,
     expectation_polynomial,
     expectation_under,
@@ -87,6 +90,73 @@ def test_zero_book_gives_zero_polynomial(two_tosses):
     poly = expectation_polynomial(BetBook((t,)))
     assert all(c == 0.0 for c in poly.coefficients)
     assert poly.real_roots() == ()
+
+
+def test_fair_book_roots_meet_at_its_own_coin(two_tosses):
+    q = iid_coin(0.3, 2)
+    fair = BetBook(
+        (
+            fair_ticket("buy", 100.0, Event.of(two_tosses, "HH"), q),
+            fair_ticket("sell", 150.0, Event.of(two_tosses, "HT"), q),
+        )
+    )
+    poly = expectation_polynomial(fair)
+    assert poly.coefficients == pytest.approx((-22.5, 150.0, -250.0), abs=1e-12)
+    assert poly.real_roots() == pytest.approx((0.3, 0.3), abs=1e-7)
+
+
+def test_interior_peak_of_a_three_toss_book():
+    cs = coin_space(3)
+    event = Event.of(cs, "HHH", "HHT", "HTH", "HTT", "THT", "TTT")
+    book = BetBook((Ticket("buy", 10960, 11758, event),))
+    poly = expectation_polynomial(book)
+    peak, arg = poly.extremum_on(0.3, 0.7, "max")
+    assert peak == pytest.approx(21.415, abs=1e-9)
+    assert arg == pytest.approx(0.5, abs=1e-9)
+    verdict = booked_in_expectation(book, coin_family(0.3, 0.7, 3))
+    assert -verdict.min_agent_expectation == pytest.approx(peak, abs=1e-9)
+
+
+def test_cancelled_leading_coefficient_is_trimmed():
+    cs = coin_space(3)
+    book = BetBook((Ticket("buy", 766, 16750, Event.of(cs, "THH", "TTH")),))
+    poly = expectation_polynomial(book)
+    assert len(poly.coefficients) == 3
+    assert poly.real_roots() == pytest.approx((0.0480391, 0.9519609), abs=1e-7)
+
+
+@st.composite
+def cent_books(draw):
+    space = coin_space(draw(st.integers(2, 6)))
+    tickets = []
+    for _ in range(draw(st.integers(1, 3))):
+        payout = draw(st.integers(0, 20000))
+        inside = draw(st.lists(st.booleans(), min_size=space.size, max_size=space.size))
+        atoms = [a for a, x in zip(space.atoms, inside) if x] or space.atoms[:1]
+        tickets.append(Ticket(
+            draw(st.sampled_from(("buy", "sell"))), draw(st.integers(0, payout)), payout,
+            Event.of(space, *atoms),
+        ))
+    return BetBook(tuple(tickets))
+
+
+@given(book=cent_books(), ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_polynomial_roots_and_extrema_agree_with_the_verdict(book, ends):
+    """Roots and extrema of the polynomial against the family kernel's
+    verdict. A root's residual is bounded relative to the largest
+    coefficient, scaled by |r|^degree beyond 1, where the terms, and so
+    the rounding of their sum, grow."""
+    lo, hi = sorted(ends)
+    poly = expectation_polynomial(book)
+    verdict = booked_in_expectation(book, coin_family(lo, hi, len(book.space.variables)))
+    peak, low = poly.extremum_on(lo, hi, "max")[0], poly.extremum_on(lo, hi, "min")[0]
+    assert abs(peak + verdict.min_agent_expectation) <= 1e-9 * (1 + abs(peak))
+    assert abs(low + verdict.max_agent_expectation) <= 1e-9 * (1 + abs(low))
+    scale = np.abs(poly.coefficients).max()
+    degree = len(poly.coefficients) - 1
+    for r in poly.real_roots():
+        assert abs(poly(r)) <= 1e-9 * scale * max(1.0, abs(r)) ** degree
 
 
 def test_expectation_polynomial_needs_coin_space():

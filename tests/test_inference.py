@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import linear_system_equals_core, marginal_vectors, vertex_set_equals_core
+from oracles import (
+    linear_system_equals_core,
+    marginal_vectors,
+    vertex_set_equals_core,
+    vertex_set_equals_core_by_hulls,
+    vertices_of,
+)
 
 from credal import (
     Event,
@@ -481,7 +487,7 @@ def random_polytope(seed: int) -> LinearSystem:
 def test_linear_system_extremes_match_its_vertices(seed):
     S = random_polytope(seed)
     n = S.space.size
-    V = np.clip(enumerate_polytope_vertices(n, S.full_constraints()), 0.0, None)
+    V = np.clip(np.array(list(enumerate_polytope_vertices(n, S.full_constraints()))), 0.0, None)
     hull = VertexSet(tuple(make_distribution(S.space, v / v.sum()) for v in V))
     for w in np.random.default_rng([seed, 1]).normal(size=(5, n)):
         got, want = S.extremes(w), hull.extremes(w)
@@ -683,6 +689,64 @@ def test_belief_vertex_set_core_check_builds_no_program(monkeypatch):
     assert mobius_report(S).set_equals_core is True
     assert mobius_report(VertexSet(S.vertices[1:])).set_equals_core is False
     assert built == []
+
+
+NON_BELIEF_KINDS = ("cloud", "box", "box-dropped")
+
+
+def non_belief_test_set(kind: str, seed: int) -> VertexSet:
+    """A VertexSet on 3 to 5 atoms: random points, or the vertices of a
+    random box of per-atom bounds, all of them or one dropped. A box's
+    envelope is 2-monotone but often not a belief function."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 6))
+    space = simple_space(*(f"w{j}" for j in range(n)))
+    if kind == "cloud":
+        alpha = rng.choice([0.3, 1.0, 3.0])
+        points = list(rng.dirichlet(np.full(n, alpha), size=int(rng.integers(2, 9))))
+    else:
+        center = rng.dirichlet(np.ones(n))
+        lo = center * rng.uniform(0.0, 1.0, n)
+        hi = np.minimum(1.0, center + rng.uniform(0.0, 0.4, n))
+        box = interval_to_linear_system(IntervalDistribution(space, lo, hi))
+        points = vertices_of(n, box.full_constraints())
+        if kind == "box-dropped":
+            points.pop(int(rng.integers(len(points))))
+    points = [np.clip(p, 0.0, None) for p in points]
+    return VertexSet(tuple(make_distribution(space, p / p.sum()) for p in points))
+
+
+@given(kind=st.sampled_from(NON_BELIEF_KINDS), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_non_belief_vertex_set_core_check_matches_hull_programs(kind, seed):
+    """Every core vertex a point of the set, against the hull program of
+    every core vertex."""
+    S = non_belief_test_set(kind, seed)
+    bel = lower_envelope_function(S).values
+    if mobius_transform(bel).min() >= -1e-8:
+        return  # a belief function: the chain walk decides
+    rep = mobius_report(S)
+    assert not rep.envelope_is_belief
+    assert rep.set_equals_core is vertex_set_equals_core_by_hulls(S, bel)
+
+
+def test_non_belief_vertex_set_core_check_builds_only_the_core(monkeypatch):
+    built = []
+    init = linprog.PreparedLp.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(linprog.PreparedLp, "__init__", counting_init)
+    # seed 1 gives a 4-atom box whose envelope is not a belief function
+    whole, dropped = (non_belief_test_set(kind, 1) for kind in ("box", "box-dropped"))
+    for S, equal in ((whole, True), (dropped, False)):
+        built.clear()
+        rep = mobius_report(S)
+        assert not rep.envelope_is_belief
+        assert rep.set_equals_core is equal
+        assert len(built) == 1
 
 
 @given(seed=st.integers(0, 2**32 - 1))

@@ -244,13 +244,7 @@ def _run_ci_nonconvex() -> list[Check]:
 
 def _bounds_system():
     sp = simple_space("w1", "w2", "w3", "w4")
-    rows = []
-    for j in range(4):
-        e = np.zeros(4)
-        e[j] = 1.0
-        rows.append(constraint(e, ">=", 0.15))
-        rows.append(constraint(e, "<=", 0.40))
-    return LinearSystem(sp, tuple(rows))
+    return interval_to_linear_system(IntervalDistribution(sp, [0.15] * 4, [0.40] * 4))
 
 
 def _run_belief_gap() -> list[Check]:

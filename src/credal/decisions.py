@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, make_distribution
 from .errors import (
     EmptyGroupError,
     EmptySetError,
@@ -143,12 +143,10 @@ def _family_admissible(
     pairwise difference, or an end of the parts with evidence."""
     i, j = np.triu_indices(len(U.actions), 1)
     pairs = U.u[i] - U.u[j]
-    found = [fam.critical_members(bi, pairs, pairs) for bi in range(len(fam.branches))]
-    at = [(bi, float(t)) for bi, (s, _) in enumerate(found) for t in s]
-    if not at:
+    P = np.concatenate([fam.critical_members(bi, pairs, pairs)[1] for bi in range(len(fam.branches))])
+    if not len(P):
         raise EmptySetError("family has no members (conditioning removed all)")
-    P = np.concatenate([M for _, M in found])
-    return _report(U, P, lambda j: fam.member_at_scan(*at[j]), tol)
+    return _report(U, P, lambda j: make_distribution(U.space, P[j]), tol)
 
 
 def e_admissible_over_hull(

@@ -1,8 +1,8 @@
 """Probability vectors over finite spaces and the basic operations on them.
 
-Includes the built-in one-parameter generators (binomial coin pairs, the
-two-branch biased die, and the independence-constrained square family)
-that parametric credal sets are built from.
+Includes constructors for members of the built-in one-parameter families
+(binomial coin pairs, the two-branch biased die, the independence-constrained
+square family); ``sets`` describes the families by their atom polynomials.
 """
 
 from __future__ import annotations
@@ -181,22 +181,30 @@ def die_space() -> OutcomeSpace:
 
 
 DIE_EPS_MAX = 1.0 / 48.0
+# the eps values a die member may take, with TAU_ZERO of slack at each end
+DIE_EPS_DOMAIN = (-DIE_EPS_MAX - TAU_ZERO, DIE_EPS_MAX + TAU_ZERO)
+# face probabilities as ascending coefficients in eps, per branch
+_DIE_POLYS = {
+    "favor-2": np.array([[1 / 12, 1.0], [3 / 12, -1.0]] + [[1 / 6, 0.0]] * 4),
+    "favor-1": np.array([[3 / 12, -1.0], [1 / 12, 1.0]] + [[1 / 6, 0.0]] * 4),
+}
+
+
+def die_atom_polys(branch: str) -> np.ndarray:
+    """Face probabilities of one die branch as polynomials in eps in
+    [-1/48, 1/48]: branch "favor-2" puts (1/12 + eps, 3/12 - eps) on faces
+    (1, 2), branch "favor-1" swaps them, faces 3..6 carry 1/6 each."""
+    if branch not in DIE_BRANCHES:
+        raise ParamRangeError(f"branch must be one of {DIE_BRANCHES}, got {branch!r}")
+    return _DIE_POLYS[branch]
 
 
 def die_bias(eps: float, branch: str = "favor-2") -> Distribution:
-    """A die fair on faces 3..6 with faces 1 and 2 trading mass 1/12 +- eps.
-
-    branch "favor-2" puts (1/12 + eps, 3/12 - eps) on faces (1, 2);
-    branch "favor-1" swaps them. eps ranges over [-1/48, 1/48].
-    """
-    if branch not in DIE_BRANCHES:
-        raise ParamRangeError(f"branch must be one of {DIE_BRANCHES}, got {branch!r}")
-    if not -DIE_EPS_MAX - TAU_ZERO <= eps <= DIE_EPS_MAX + TAU_ZERO:
+    """The member of one die branch (see ``die_atom_polys``) at eps."""
+    polys = die_atom_polys(branch)
+    if not DIE_EPS_DOMAIN[0] <= eps <= DIE_EPS_DOMAIN[1]:
         raise ParamRangeError(f"eps must be within [-1/48, 1/48], got {eps}")
-    lo, hi = 1.0 / 12.0 + eps, 3.0 / 12.0 - eps
-    first_two = (lo, hi) if branch == "favor-2" else (hi, lo)
-    probs = np.array([*first_two, 1 / 6, 1 / 6, 1 / 6, 1 / 6])
-    return make_distribution(die_space(), probs)
+    return make_distribution(die_space(), polys[:, 0] + polys[:, 1] * eps)
 
 
 def independent_square(w: float) -> Distribution:

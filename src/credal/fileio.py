@@ -136,6 +136,13 @@ def problem_from_obj(obj: dict) -> ProblemFile:
 
 def credal_from_obj(obj, problem: ProblemFile) -> CredalSet:
     _expect(isinstance(obj, dict), "credal set form must be an object")
+    try:
+        return _credal_set(obj, problem)
+    except (TypeError, ValueError) as ex:  # a value of the wrong type or length
+        raise ParseError(f"credal set form: {ex}") from ex
+
+
+def _credal_set(obj: dict, problem: ProblemFile) -> CredalSet:
     space = problem.space
     if "vertices" in obj:
         members = []
@@ -158,27 +165,30 @@ def credal_from_obj(obj, problem: ProblemFile) -> CredalSet:
             rows.append(constraint(np.asarray(c["coeffs"], dtype=float), c["rel"], float(c["rhs"])))
         return LinearSystem(space, tuple(rows))
     if "intervals" in obj:
-        spec = obj["intervals"]
-        if isinstance(spec, str):
-            _expect(spec in problem.intervals, f"unknown interval {spec!r}")
-            iv = problem.intervals[spec]
+        bounds = obj["intervals"]
+        if isinstance(bounds, str):
+            _expect(bounds in problem.intervals, f"unknown interval {bounds!r}")
+            iv = problem.intervals[bounds]
         else:
+            _expect(isinstance(bounds, dict) and {"lo", "hi"} <= set(bounds), "inline intervals need lo and hi")
             iv = IntervalDistribution(
                 space,
-                np.asarray(spec["lo"], dtype=float),
-                np.asarray(spec["hi"], dtype=float),
+                np.asarray(bounds["lo"], dtype=float),
+                np.asarray(bounds["hi"], dtype=float),
             )
         return interval_to_linear_system(iv)
     if "family" in obj:
+        _expect(isinstance(obj["family"], dict), "family must be an object")
         branches = []
         for b in obj["family"].get("branches", []):
             _expect(
                 isinstance(b, dict) and {"generator", "lo", "hi"} <= set(b),
                 "each branch needs generator, lo, hi",
             )
-            params = tuple(sorted(b.get("params", {}).items()))
+            params = b.get("params", {})
+            _expect(isinstance(params, dict), "branch params must be an object")
             branches.append(
-                FamilyBranch(b["generator"], float(b["lo"]), float(b["hi"]), params)
+                FamilyBranch(b["generator"], float(b["lo"]), float(b["hi"]), tuple(sorted(params.items())))
             )
         fam = ParametricFamily(tuple(branches))
         _expect(fam.space == space, "family space does not match the file's space")

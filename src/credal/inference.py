@@ -31,6 +31,7 @@ from .sets import (
     CredalSet,
     IntervalDistribution,
     LinearSystem,
+    ParametricFamily,
     VertexSet,
     _ratio_program,
     interval_to_linear_system,
@@ -423,8 +424,10 @@ def _set_equals_core(S: CredalSet, bel: np.ndarray, is_belief: bool) -> bool | N
     core vertex in conv(S) is a vertex of conv(S)): ``_chains_all_tight``
     walks the marginal vectors of a belief-function Bel; otherwise brute-force
     enumeration stops at the first vertex not within 10 * TAU_LP (sup norm)
-    of a point, up to 5 atoms and undecided (None) above. Families are
-    never core-shaped unless they are a single point.
+    of a point, up to 5 atoms and undecided (None) above. One family branch
+    whose atom polynomials on the event have rank <= 2 is a segment, decided
+    so on its two ends; rank > 2 spans a plane with a curve, never convex.
+    Several branches are reported False, missing a union that is convex.
     """
     space = S.space
     n = space.size
@@ -434,26 +437,24 @@ def _set_equals_core(S: CredalSet, bel: np.ndarray, is_belief: bool) -> bool | N
         lows, highs = core_of_belief(space, bel).ranges(A)
         return not np.any((sign >= 0) & (highs > b + TAU_LP) | (sign <= 0) & (lows < b - TAU_LP))
 
-    if isinstance(S, VertexSet):
+    if isinstance(S, ParametricFamily):
+        b, ev = S.branches[0], S.conditioning
+        polys = b.atom_forms[0] if ev is None else b.atom_forms[0][list(ev.indices)]
+        if len(S.branches) > 1 or b.lo != b.hi and np.linalg.matrix_rank(polys) > 2:
+            return False
+        # members on one line (conditioned or not): a segment, the hull of
+        # its two ends along the line
+        M = S.critical_members(0)[1]
+        _, lo, _, hi = S.extremes(M[np.abs(M - M[0]).max(axis=1).argmax()] - M[0])
+        V = np.stack([lo.probs, hi.probs])
+    else:
         V = np.stack([v.probs for v in S.vertices])
-        if is_belief:
-            return _chains_all_tight(V, bel)
-        if n > 5:
-            return None
-        vertices = enumerate_polytope_vertices(n, core_of_belief(space, bel).full_constraints())
-        return all(np.abs(V - x).max(axis=1).min() <= 10 * TAU_LP for x in vertices)
-
-    # parametric family
-    single = (
-        len(S.branches) == 1
-        and S.branches[0].lo == S.branches[0].hi
-        and S.conditioning is None
-    )
-    if not single:
-        return False
-    m = mobius_transform(bel)
-    singleton_total = sum(m[1 << i] for i in range(n))
-    return bool(abs(singleton_total - 1.0) <= TAU_LP)
+    if is_belief:
+        return _chains_all_tight(V, bel)
+    if n > 5:
+        return None
+    vertices = enumerate_polytope_vertices(n, core_of_belief(space, bel).full_constraints())
+    return all(np.abs(V - x).max(axis=1).min() <= 10 * TAU_LP for x in vertices)
 
 
 def _chains_all_tight(V: np.ndarray, bel: np.ndarray) -> bool:

@@ -17,32 +17,33 @@ at once; lower envelopes read theirs from it.
   closed generator registry, optionally composed with conditioning on
   an event. Generally nonconvex.
 
-Families are evaluated in a scan parameter that keeps every atom
-probability a polynomial (the independence-square family is scanned in
-sqrt(w)). Family answers are exact: envelopes, bet verdicts,
-E-admissibility and membership are read off the member at each real root
-of a few polynomials built from the atom polynomials (see
-``ParametricFamily.critical_members``).
+A generator is its atom polynomials: each atom probability is a
+polynomial in a scan parameter s (theta itself, or sqrt(w) for the
+independence-square family), and a member is their row at one s,
+renormalised on the event when conditioned. Family answers are exact:
+envelopes, bet verdicts, E-admissibility and membership are read off the
+rows at the real roots of a few polynomials built from the atom
+polynomials (see ``ParametricFamily.critical_members``), and each
+witness is the row that decided.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .distributions import (
     DIE_BRANCHES,
+    DIE_EPS_DOMAIN,
     Distribution,
     coin_atom_polys,
-    condition_distribution,
+    die_atom_polys,
     die_bias,
     die_space,
-    iid_coin,
-    independent_square,
     make_distribution,
 )
 from .errors import (
@@ -241,96 +242,40 @@ def interval_to_linear_system(iv: IntervalDistribution) -> LinearSystem:
     return LinearSystem(iv.space, tuple(rows))
 
 
-class _GeneratorSpec:
-    """One entry of the closed generator registry.
-
-    Families are evaluated in a scan parameter s with theta = to_theta(s)
-    chosen so every atom probability is a polynomial in s.
-    """
-
-    name: str
-
-    def space(self, params: dict) -> OutcomeSpace:
-        raise NotImplementedError
-
-    def point(self, theta: float, params: dict) -> Distribution:
-        raise NotImplementedError
-
-    def scan_interval(self, lo: float, hi: float) -> tuple[float, float]:
-        return lo, hi
-
-    def to_theta(self, s: float) -> float:
-        return s
-
-    def atom_polys_scan(self, params: dict) -> np.ndarray:
-        """(atoms, degree + 1): ascending coefficients of each atom
-        probability in s."""
-        raise NotImplementedError
-
-    def validate(self, lo: float, hi: float, params: dict):
-        self.point(lo, params)
-        self.point(hi, params)
+def _same(theta):
+    return theta
 
 
-class _IidCoin(_GeneratorSpec):
-    name = "iid-coin"
-
-    def space(self, params):
-        return coin_space(params.get("n_tosses", 2))
-
-    def point(self, theta, params):
-        return iid_coin(theta, params.get("n_tosses", 2))
-
-    def atom_polys_scan(self, params):
-        return coin_atom_polys(params.get("n_tosses", 2))
+def _iid_coin(params):
+    n = params.get("n_tosses", 2)
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ParamRangeError(f"n_tosses must be an integer >= 1, got {n!r}")
+    return coin_space(n), coin_atom_polys(n), (0.0, 1.0), _same
 
 
-_DIE_POLYS = {
-    "favor-2": np.array([[1 / 12, 1.0], [3 / 12, -1.0]] + [[1 / 6, 0.0]] * 4),
-    "favor-1": np.array([[3 / 12, -1.0], [1 / 12, 1.0]] + [[1 / 6, 0.0]] * 4),
-}
+def _die_bias(params):
+    return die_space(), die_atom_polys(params.get("branch", "favor-2")), DIE_EPS_DOMAIN, _same
 
 
-class _DieBias(_GeneratorSpec):
-    name = "die-bias"
-
-    def space(self, params):
-        return die_space()
-
-    def point(self, theta, params):
-        return die_bias(theta, params.get("branch", "favor-2"))
-
-    def atom_polys_scan(self, params):
-        return _DIE_POLYS[params.get("branch", "favor-2")]
+def _independent_square(params):
+    # P(HH) = w; in s = sqrt(w) the family is exactly the two-toss coin family
+    return coin_space(2), coin_atom_polys(2), (0.0, 1.0), np.sqrt
 
 
-class _IndependentSquare(_GeneratorSpec):
-    name = "independent-square"
-
-    def space(self, params):
-        return coin_space(2)
-
-    def point(self, theta, params):
-        return independent_square(theta)
-
-    def scan_interval(self, lo, hi):
-        return math.sqrt(lo), math.sqrt(hi)
-
-    def to_theta(self, s):
-        return s * s
-
-    def atom_polys_scan(self, params):
-        # in s = sqrt(w) the family is exactly the two-toss coin family
-        return coin_atom_polys(2)
-
-
-GENERATORS: dict[str, _GeneratorSpec] = {
-    g.name: g for g in (_IidCoin(), _DieBias(), _IndependentSquare())
+# The closed generator registry: params -> (space, atom polynomials in s as
+# ascending coefficient rows, theta domain, the map theta -> s).
+GENERATORS = {
+    "iid-coin": _iid_coin,
+    "die-bias": _die_bias,
+    "independent-square": _independent_square,
 }
 
 
 @dataclass(frozen=True)
 class FamilyBranch:
+    """The members of one generator at theta in [lo, hi]: its atom polynomials
+    at s = to_scan(theta), kept about s = 0 and, in u = 1 - s, about s = 1."""
+
     generator: str
     lo: float
     hi: float
@@ -341,23 +286,13 @@ class FamilyBranch:
             raise ParamRangeError(
                 f"unknown generator {self.generator!r}; registry: {sorted(GENERATORS)}"
             )
-        if not self.lo <= self.hi:
-            raise ParamRangeError("branch needs lo <= hi")
-        GENERATORS[self.generator].validate(self.lo, self.hi, dict(self.params))
-
-    @property
-    def spec(self) -> _GeneratorSpec:
-        return GENERATORS[self.generator]
-
-    @property
-    def param_dict(self) -> dict:
-        return dict(self.params)
-
-    @cached_property
-    def atom_forms(self) -> tuple[np.ndarray, np.ndarray]:
-        """The atom polynomials about s = 0 and, in u = 1 - s, about s = 1."""
-        polys = self.spec.atom_polys_scan(self.param_dict)
-        return polys, polys @ _mirror(polys.shape[1])
+        space, polys, domain, to_scan = GENERATORS[self.generator](dict(self.params))
+        if not domain[0] <= self.lo <= self.hi <= domain[1]:
+            raise ParamRangeError(f"{self.generator} branch needs {domain[0]} <= lo <= hi <= {domain[1]}")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "to_scan", to_scan)
+        object.__setattr__(self, "atom_forms", (polys, polys @ _mirror(polys.shape[1])))
 
 
 @dataclass(frozen=True)
@@ -370,27 +305,27 @@ class ParametricFamily:
     def __post_init__(self):
         if not self.branches:
             raise EmptySetError("family needs at least one branch")
-        space = self.branches[0].spec.space(self.branches[0].param_dict)
+        space = self.branches[0].space
         for b in self.branches[1:]:
-            if b.spec.space(b.param_dict) != space:
+            if b.space != space:
                 raise SpaceMismatchError("family branches live on different spaces")
         if self.conditioning is not None and self.conditioning.space != space:
             raise SpaceMismatchError("conditioning event is over a different space")
 
     @property
     def space(self) -> OutcomeSpace:
-        return self.branches[0].spec.space(self.branches[0].param_dict)
+        return self.branches[0].space
 
     def member(self, branch_index: int, theta: float) -> Distribution:
+        """The member of one branch at theta: its atom polynomials at
+        s = to_scan(theta), conditioned as the family is."""
         b = self.branches[branch_index]
-        d = b.spec.point(theta, b.param_dict)
-        if self.conditioning is not None:
-            d = condition_distribution(d, self.conditioning)
-        return d
-
-    def member_at_scan(self, branch_index: int, s: float) -> Distribution:
-        b = self.branches[branch_index]
-        return self.member(branch_index, b.spec.to_theta(s))
+        if not b.domain[0] <= theta <= b.domain[1]:
+            raise ParamRangeError(f"{b.generator} parameter must be within {list(b.domain)}, got {theta}")
+        s, M = self._members_at(branch_index, np.array([b.to_scan(theta)]))
+        if not len(s):
+            raise ZeroEvidenceError(f"conditioning event has probability <= {TAU_ZERO} at {theta}")
+        return make_distribution(self.space, M[0])
 
     def scan_grid(self, branch_index: int, step: float = GRID_STEP):
         """(scan values, member matrix) on a uniform grid over one branch;
@@ -398,7 +333,7 @@ class ParametricFamily:
         rows masked out. For inspection only: every family answer of the
         library comes from ``critical_members``."""
         b = self.branches[branch_index]
-        a, z = b.spec.scan_interval(b.lo, b.hi)
+        a, z = b.to_scan(b.lo), b.to_scan(b.hi)
         count = max(2, int(math.ceil((z - a) / step)) + 1)
         return self._members_at(branch_index, np.linspace(a, z, count))
 
@@ -423,7 +358,7 @@ class ParametricFamily:
         pattern it has, at one of these points.
         """
         b = self.branches[branch_index]
-        a, z = b.spec.scan_interval(b.lo, b.hi)
+        a, z = b.to_scan(b.lo), b.to_scan(b.hi)
         ev = None if self.conditioning is None else self.conditioning.indicator()
         # points s <= 1/2 are solved in s, the rest in u = 1 - s
         forms = [f for f, used in ((0, a <= 0.5), (1, z > 0.5)) if used]
@@ -468,22 +403,18 @@ class ParametricFamily:
 
     def extremes(self, weights: np.ndarray):
         """(lowest, member attaining it, highest, member attaining it) of
-        weights . p over the members, decided exactly."""
+        weights . p over the members, decided exactly; each member is the
+        critical row the value was read from."""
         weights = np.asarray(weights, dtype=float)
-        best = []
-        for bi in range(len(self.branches)):
-            s, M = self.critical_members(bi, ratios=weights[None, :])
-            if len(s):
-                vals = M @ weights
-                lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
-                best.append((vals[lo], bi, s[lo], vals[hi], s[hi]))
-        if not best:
+        found = [self.critical_members(bi, ratios=weights[None, :])[1] for bi in range(len(self.branches))]
+        M = np.concatenate(found)
+        if not len(M):
             raise EmptySetError("family has no members (conditioning removed all)")
-        low = min(best, key=lambda r: r[0])
-        high = max(best, key=lambda r: r[3])
+        vals = M @ weights
+        lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
         return (
-            float(low[0]), self.member_at_scan(low[1], float(low[2])),
-            float(high[3]), self.member_at_scan(high[1], float(high[4])),
+            float(vals[lo]), make_distribution(self.space, M[lo]),
+            float(vals[hi]), make_distribution(self.space, M[hi]),
         )
 
     def ranges(self, rows: np.ndarray):

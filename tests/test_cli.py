@@ -219,6 +219,21 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert main(["decide", str(broken)]) == 2
 
 
+def test_malformed_family_exits_two(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        "family.json",
+        {
+            "space": {"variables": [{"name": "toss1", "values": ["H", "T"]}]},
+            "credal": {"family": {"branches": [
+                {"generator": "iid-coin", "lo": "a", "hi": 0.5, "params": {"n_tosses": 1}}
+            ]}},
+        },
+    )
+    assert main(["envelope", path, "--event", "H"]) == 2
+    assert "PARSE_ERROR" in capsys.readouterr().err
+
+
 def test_domain_error_exits_one(tmp_path, capsys):
     path = write(
         tmp_path,

@@ -13,7 +13,7 @@ from credal import (
     interval_to_linear_system,
     make_distribution,
 )
-from credal.errors import ParseError
+from credal.errors import ParamRangeError, ParseError
 from credal.sets import LinearSystem, ParametricFamily, VertexSet
 
 
@@ -131,6 +131,38 @@ def test_family_conditioning_parse_errors(conditioning):
     problem = fileio.problem_from_obj({"space": COIN_SPACE})
     with pytest.raises(ParseError, match="conditioning"):
         fileio.credal_from_obj({"family": dict(COIN_FAMILY, conditioning=conditioning)}, problem)
+
+
+def _branch(**changes):
+    return {"family": {"branches": [dict(COIN_FAMILY["branches"][0], **changes)]}}
+
+
+MALFORMED_FORMS = {
+    "family-not-an-object": (COIN_SPACE, {"family": [COIN_FAMILY]}),
+    "params-a-list": (COIN_SPACE, _branch(params=[["n_tosses", 2]])),
+    "lo-not-a-number": (COIN_SPACE, _branch(lo="a")),
+    "coeffs-wrong-length": (
+        PROBLEM["space"], {"constraints": [{"coeffs": [1, 0], "rel": "<=", "rhs": 0.5}]}
+    ),
+    "unknown-relation": (
+        PROBLEM["space"], {"constraints": [{"coeffs": [1, 0, 0, 0], "rel": "<", "rhs": 0.5}]}
+    ),
+    "vertex-wrong-length": (PROBLEM["space"], {"vertices": [[0.5, 0.5]]}),
+    "interval-without-hi": (PROBLEM["space"], {"intervals": {"lo": [0.1] * 4}}),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_FORMS)
+def test_malformed_credal_forms_are_parse_errors(name):
+    space, form = MALFORMED_FORMS[name]
+    with pytest.raises(ParseError):
+        fileio.credal_from_obj(form, fileio.problem_from_obj({"space": space}))
+
+
+def test_non_integer_tosses_are_a_range_error():
+    problem = fileio.problem_from_obj({"space": COIN_SPACE})
+    with pytest.raises(ParamRangeError, match="n_tosses"):
+        fileio.credal_from_obj(_branch(params={"n_tosses": 2.5}), problem)
 
 
 def test_mass_function_file(tmp_path):

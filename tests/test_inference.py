@@ -409,6 +409,31 @@ def test_mobius_report_single_point(states3):
     assert rep.set_equals_core is True
 
 
+def test_segment_families_are_their_core():
+    """A one-branch family that is a point, or whose atom polynomials on
+    the conditioning event have rank <= 2, is the segment between its end
+    members, and is decided as that two-point vertex set is."""
+    from credal import FamilyBranch, ParametricFamily, die_family
+
+    eps = 1 / 48
+    die = ParametricFamily((FamilyBranch("die-bias", -eps, eps, (("branch", "favor-2"),)),))
+    coin = coin_family(0.2, 0.5, 1)
+    two = coin_family(0.2, 0.5, 2)
+    for fam in (die, coin, ParametricFamily(die.branches, Event.of(die.space, "1", "2", "3")),
+                ParametricFamily(two.branches, Event.of(two.space, "HT", "TH")),  # one point
+                ParametricFamily(two.branches, Event.of(two.space, "HH", "TT"))):  # quadratic
+        ends = VertexSet((fam.member(0, fam.branches[0].lo), fam.member(0, fam.branches[0].hi)))
+        assert mobius_report(ends).set_equals_core is True
+        assert mobius_report(fam).set_equals_core is True
+    assert mobius_report(die_family()).set_equals_core is False
+    assert mobius_report(coin_family(0.2, 0.5, 2)).set_equals_core is False
+    # rank 4 on 8 atoms with a non-belief envelope: the vertex rule alone is undecided
+    assert mobius_report(coin_family(0.2, 0.5, 3)).set_equals_core is False
+    curve = ParametricFamily(two.branches, Event.of(two.space, "HH", "HT", "TH"))
+    assert mobius_report(curve).set_equals_core is False
+    assert mobius_report(coin_family(0.3, 0.3, 2)).set_equals_core is True
+
+
 def test_mobius_report_star_vs_family():
     """The nonconvexity demonstration: the two-point set has a
     belief-function envelope whose core is the whole hull segment, and

@@ -10,11 +10,14 @@ from credal import (
     ParametricFamily,
     VertexSet,
     coin_family,
+    coin_space,
     constraint,
     die_bias,
     die_family,
     envelope,
     iid_coin,
+    independent_square,
+    independent_square_family,
     interval_to_linear_system,
     make_distribution,
     mobius_report,
@@ -25,6 +28,7 @@ from credal.errors import (
     InfeasibleSystemError,
     ParamRangeError,
     SpaceMismatchError,
+    ZeroEvidenceError,
 )
 from credal.sets import IntervalDistribution
 
@@ -93,6 +97,19 @@ def test_family_branch_validation():
         FamilyBranch("iid-coin", -0.2, 0.5)  # endpoint outside [0, 1]
     with pytest.raises(EmptySetError):
         ParametricFamily(())
+    with pytest.raises(ParamRangeError):
+        FamilyBranch("die-bias", -0.03, 0.0)  # eps beyond 1/48
+    with pytest.raises(ParamRangeError):
+        FamilyBranch("die-bias", 0.0, 0.01, (("branch", "favor-3"),))
+    with pytest.raises(ParamRangeError):
+        FamilyBranch("independent-square", 0.5, 1.2)
+    for n in (0, 2.5):
+        with pytest.raises(ParamRangeError):
+            FamilyBranch("iid-coin", 0.2, 0.5, (("n_tosses", n),))
+    for fam, theta in ((coin_family(0.2, 0.5), 1.5), (die_family(), 0.03),
+                       (independent_square_family(0.1, 0.4), -0.1)):
+        with pytest.raises(ParamRangeError):
+            fam.member(0, theta)
 
 
 def test_die_family_exposes_both_branches():
@@ -108,6 +125,36 @@ def test_family_sampling_stays_in_family(rng):
     for member in fam.sample(50, rng):
         p = member.prob("HH") ** 0.5
         assert 0.2 - 1e-9 <= p <= 0.4 + 1e-9
+
+
+def test_family_members_are_the_generator_members():
+    """A member is the row of the atom polynomials at the scan value; it
+    is the public constructor's distribution, conditioned as the family is."""
+    fam = independent_square_family(0.1, 0.4)
+    assert fam.member(0, 0.25).allclose(independent_square(0.25))
+    die = die_family()
+    assert die.member(1, -1 / 96).allclose(die_bias(-1 / 96, "favor-1"))
+    coin = coin_family(0.0, 0.5, 3)
+    tails = Event.of(coin.space, "TTT")
+    conditioned = ParametricFamily(coin.branches, Event.of(coin.space, "HHH", "TTT"))
+    assert conditioned.member(0, 0.0).allclose(make_distribution(coin.space, tails.indicator()))
+    with pytest.raises(ZeroEvidenceError):
+        ParametricFamily(coin.branches, Event.of(coin.space, "HHH")).member(0, 0.0)
+
+
+def test_family_sample_draws_every_branch(rng):
+    """k members come back, each with evidence, drawn from both branches
+    in no fixed order."""
+    fam = die_family()
+    members = fam.sample(400, rng)
+    assert len(members) == 400
+    favors_2 = [m.prob("2") > m.prob("1") for m in members]
+    assert 100 < sum(favors_2) < 300
+    assert sum(a != b for a, b in zip(favors_2, favors_2[1:])) > 100
+    half = ParametricFamily(coin_family(0.0, 1.0, 1).branches, Event.of(coin_space(1), "H"))
+    assert len(half.sample(50, rng)) == 50
+    with pytest.raises(EmptySetError):
+        ParametricFamily(coin_family(0.0, 0.0, 1).branches, Event.of(coin_space(1), "H")).sample(5, rng)
 
 
 def test_nonbelief_vertex_set_uses_brute_force_core(rng):

@@ -46,6 +46,8 @@ class UtilityMatrix:
             raise ValueError(
                 f"utility matrix must be {len(self.actions)} x {self.space.size}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("utilities must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "u", arr)
 

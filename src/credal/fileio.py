@@ -23,6 +23,7 @@ Values are parsed as binary64; bit-exactness is not required.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from .betting import BetBook, Ticket
 from .decisions import UtilityMatrix
 from .distributions import Distribution, make_distribution
-from .errors import CredalError, ParseError
+from .errors import ParseError
 from .inference import MassFunction
 from .pooling import PoolingProblem
 from .sets import (
@@ -51,6 +52,17 @@ def _expect(cond: bool, message: str):
         raise ParseError(message)
 
 
+@contextmanager
+def _parsing(what: str):
+    """The parse boundary: file data of the wrong type, shape, value or key
+    makes the library raise one of these, which is reported as a
+    ParseError naming what was being read."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as ex:
+        raise ParseError(f"{what}: {ex.args[0] if ex.args else type(ex).__name__}") from ex
+
+
 def load_json(path) -> dict:
     try:
         with open(path) as fh:
@@ -65,31 +77,23 @@ def load_json(path) -> dict:
 
 def space_from_obj(obj) -> OutcomeSpace:
     _expect(isinstance(obj, dict), "space must be an object")
-    if "atoms" in obj:
-        atoms = obj["atoms"]
-        _expect(
-            isinstance(atoms, list) and all(isinstance(a, str) for a in atoms),
-            "space.atoms must be a list of strings",
-        )
-        try:
-            return OutcomeSpace(tuple(atoms))
-        except ValueError as ex:
-            raise ParseError(str(ex)) from ex
-    if "variables" in obj:
-        out = []
-        for v in obj["variables"]:
+    with _parsing("space"):
+        if "atoms" in obj:
+            atoms = obj["atoms"]
             _expect(
-                isinstance(v, dict) and "name" in v and "values" in v,
-                "each variable needs name and values",
+                isinstance(atoms, list) and all(isinstance(a, str) for a in atoms),
+                "space.atoms must be a list of strings",
             )
-            try:
+            return OutcomeSpace(tuple(atoms))
+        if "variables" in obj:
+            out = []
+            for v in obj["variables"]:
+                _expect(
+                    isinstance(v, dict) and "name" in v and "values" in v,
+                    "each variable needs name and values",
+                )
                 out.append(Variable(v["name"], tuple(v["values"])))
-            except ValueError as ex:
-                raise ParseError(str(ex)) from ex
-        try:
             return product_space(*out)
-        except ValueError as ex:
-            raise ParseError(str(ex)) from ex
     raise ParseError("space needs either atoms or variables")
 
 
@@ -119,27 +123,27 @@ def problem_from_obj(obj: dict) -> ProblemFile:
     _expect("space" in obj, "file needs a space")
     space = space_from_obj(obj["space"])
     dists = {}
-    for name, vec in obj.get("distributions", {}).items():
-        _expect(isinstance(vec, list), f"distribution {name!r} must be a list")
-        dists[name] = make_distribution(space, np.asarray(vec, dtype=float))
+    with _parsing("distributions"):
+        for name, vec in obj.get("distributions", {}).items():
+            _expect(isinstance(vec, list), f"distribution {name!r} must be a list")
+            dists[name] = make_distribution(space, np.asarray(vec, dtype=float))
     intervals = {}
-    for name, iv in obj.get("intervals", {}).items():
-        _expect(
-            isinstance(iv, dict) and "lo" in iv and "hi" in iv,
-            f"interval {name!r} needs lo and hi",
-        )
-        intervals[name] = IntervalDistribution(
-            space, np.asarray(iv["lo"], dtype=float), np.asarray(iv["hi"], dtype=float)
-        )
+    with _parsing("intervals"):
+        for name, iv in obj.get("intervals", {}).items():
+            _expect(
+                isinstance(iv, dict) and "lo" in iv and "hi" in iv,
+                f"interval {name!r} needs lo and hi",
+            )
+            intervals[name] = IntervalDistribution(
+                space, np.asarray(iv["lo"], dtype=float), np.asarray(iv["hi"], dtype=float)
+            )
     return ProblemFile(space, dists, intervals, obj)
 
 
 def credal_from_obj(obj, problem: ProblemFile) -> CredalSet:
     _expect(isinstance(obj, dict), "credal set form must be an object")
-    try:
+    with _parsing("credal set form"):
         return _credal_set(obj, problem)
-    except (TypeError, ValueError) as ex:  # a value of the wrong type or length
-        raise ParseError(f"credal set form: {ex}") from ex
 
 
 def _credal_set(obj: dict, problem: ProblemFile) -> CredalSet:
@@ -199,10 +203,8 @@ def _credal_set(obj: dict, problem: ProblemFile) -> CredalSet:
             isinstance(atoms, list) and all(isinstance(a, str) for a in atoms),
             "family conditioning must be a list of atoms",
         )
-        try:
+        with _parsing("family conditioning"):
             return ParametricFamily(fam.branches, Event.of(space, *atoms))
-        except (KeyError, ValueError) as ex:
-            raise ParseError(f"family conditioning: {ex.args[0]}") from ex
     raise ParseError(
         "credal set form needs one of: vertices, constraints, intervals, family"
     )
@@ -239,13 +241,14 @@ def load_mass_function(path) -> MassFunction:
     _expect("space" in obj and "masses" in obj, "mass file needs space and masses")
     space = space_from_obj(obj["space"])
     assignment = {}
-    for entry in obj["masses"]:
-        _expect(
-            isinstance(entry, dict) and "set" in entry and "m" in entry,
-            "each mass entry needs set and m",
-        )
-        assignment[tuple(entry["set"])] = float(entry["m"])
-    return MassFunction.from_subsets(space, assignment)
+    with _parsing("masses"):
+        for entry in obj["masses"]:
+            _expect(
+                isinstance(entry, dict) and "set" in entry and "m" in entry,
+                "each mass entry needs set and m",
+            )
+            assignment[tuple(entry["set"])] = float(entry["m"])
+        return MassFunction.from_subsets(space, assignment)
 
 
 @dataclass(frozen=True)
@@ -265,12 +268,10 @@ def load_decision(path) -> DecisionProblem:
         isinstance(u, dict) and "actions" in u and "matrix" in u,
         "utilities needs actions and matrix",
     )
-    try:
+    with _parsing("utilities"):
         U = UtilityMatrix(
             tuple(u["actions"]), problem.space, np.asarray(u["matrix"], dtype=float)
         )
-    except ValueError as ex:
-        raise ParseError(str(ex)) from ex
     credal = credal_from_obj(obj["credal"], problem) if "credal" in obj else None
     members = []
     for name in obj.get("members", []):
@@ -282,15 +283,13 @@ def load_decision(path) -> DecisionProblem:
 def load_pooling(path) -> PoolingProblem:
     obj = load_json(path)
     problem = problem_from_obj(obj)
-    _expect("experts" in obj, "pooling file needs experts")
-    experts = []
-    for name, vec in obj["experts"].items():
-        experts.append((name, make_distribution(problem.space, np.asarray(vec, dtype=float))))
-    _expect("weights" in obj, "pooling file needs weights")
-    try:
+    _expect("experts" in obj and "weights" in obj, "pooling file needs experts and weights")
+    with _parsing("pooling"):
+        experts = [
+            (name, make_distribution(problem.space, np.asarray(vec, dtype=float)))
+            for name, vec in obj["experts"].items()
+        ]
         return PoolingProblem(tuple(experts), np.asarray(obj["weights"], dtype=float))
-    except ValueError as ex:
-        raise ParseError(str(ex)) from ex
 
 
 def load_book(path) -> tuple[BetBook, ProblemFile]:
@@ -298,34 +297,21 @@ def load_book(path) -> tuple[BetBook, ProblemFile]:
     problem = problem_from_obj(obj)
     _expect("tickets" in obj, "book file needs tickets")
     tickets = []
-    for t in obj["tickets"]:
-        _expect(
-            isinstance(t, dict)
-            and {"side", "price_cents", "payout_cents", "event"} <= set(t),
-            "each ticket needs side, price_cents, payout_cents, event",
-        )
-        try:
-            tickets.append(
-                Ticket(
-                    t["side"],
-                    int(t["price_cents"]),
-                    int(t["payout_cents"]),
-                    Event.of(problem.space, *t["event"]),
-                )
+    with _parsing("book"):
+        for t in obj["tickets"]:
+            _expect(
+                isinstance(t, dict)
+                and {"side", "price_cents", "payout_cents", "event"} <= set(t),
+                "each ticket needs side, price_cents, payout_cents, event",
             )
-        except (ValueError, KeyError) as ex:
-            raise ParseError(str(ex)) from ex
-    try:
+            event = Event.of(problem.space, *t["event"])
+            tickets.append(Ticket(t["side"], int(t["price_cents"]), int(t["payout_cents"]), event))
         return BetBook(tuple(tickets)), problem
-    except (ValueError, CredalError) as ex:
-        raise ParseError(str(ex)) from ex
 
 
 def event_from_atoms(space: OutcomeSpace, atoms) -> Event:
-    try:
+    with _parsing("event"):
         return Event.of(space, *atoms)
-    except KeyError as ex:
-        raise ParseError(str(ex)) from ex
 
 
 def dump_json(obj) -> str:

@@ -20,8 +20,11 @@ lower-envelope sweep over subsets in Gray-code order then takes under
 one pivot per LP on average. Every witness is checked against the rows as
 given, at 10 * TAU_LP, with a matrix product (one per block of witnesses
 in ``optimize_many``). Pivoting is deterministic: the same program and
-objectives give the same answers. ``solve`` prepares a program and
-optimizes it once.
+objectives give the same answers. An infeasible program keeps the duals
+of its failed phase 1 as ``farkas``, a ray y with y @ A <= 0 < y @ b in
+the units of the rows as given; ``hull_membership`` reads its separating
+hyperplane off that ray. ``solve`` prepares a program and optimizes it
+once; it is public API, and the library itself no longer calls it.
 """
 
 from __future__ import annotations
@@ -172,9 +175,15 @@ _SIGN = {"<=": 1.0, "=": 0.0, ">=": -1.0}
 
 
 def _stack(n_vars: int, constraints: tuple[Constraint, ...]):
-    """The rows as arrays: (A, b, sign), sign +1 for <=, 0 for =, -1 for >=."""
+    """The rows as arrays: (A, b, sign), sign +1 for <=, 0 for =, -1 for >=.
+
+    Every program passes through here, so a NaN or infinite coefficient or
+    rhs is refused here, once per program; a check in each Constraint
+    would run once per row, and the library builds rows by the dozen."""
     A = np.array([c.coeffs for c in constraints], dtype=float).reshape(-1, n_vars)
     b = np.array([c.rhs for c in constraints], dtype=float)
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("constraint coefficients and rhs must be finite")
     sign = np.array([_SIGN[c.relation] for c in constraints])
     return A, b, sign
 
@@ -195,7 +204,9 @@ class PreparedLp:
     drives artificials out. ``optimize`` then copies the feasible tableau
     and runs phase 2 only; ``optimize_many`` runs phase 2 for a stack of
     objectives on one working copy, each from the basis where the last one
-    ended. Instances are immutable after construction and safe to share.
+    ended. An infeasible program keeps its phase-1 residual and its Farkas
+    ray (``infeasibility``, ``farkas``). Instances are immutable after
+    construction and safe to share.
     """
 
     def __init__(self, n_vars: int, constraints: tuple[Constraint, ...]):
@@ -227,6 +238,7 @@ class PreparedLp:
         self.bland_after = 50 + 10 * (m + total)
         self.max_iter = 500 + 100 * (m + total)
         self.infeasibility = 0.0
+        self.farkas = None
         if art.size:
             phase1_cost = (np.arange(total) >= n_structural).astype(float)
             tab.price(phase1_cost)
@@ -234,6 +246,13 @@ class PreparedLp:
             assert status == "OPTIMAL"  # phase 1 objective is bounded below by 0
             self.infeasibility = float(phase1_cost @ tab.solution())
             if self.infeasibility > TAU_LP:
+                # the phase-1 duals from the reduced costs d: 1 - d on an
+                # artificial, -d / sign on a slack; y @ A <= 0 < y @ b
+                d = tab.T[-1, :-1]
+                y = np.zeros(m)
+                y[slack] = -d[n + np.arange(slack.size)] / sign[slack]
+                y[art] = 1.0 - d[n_structural:]
+                self.farkas = y * scale
                 self._tab = None
                 return
             _drive_out_artificials(tab, n_structural)
@@ -346,16 +365,18 @@ def _drive_out_artificials(tab: _Tableau, n_structural: int):
 class HullMembership:
     inside: bool
     weights: np.ndarray | None = None  # convex coefficients when inside
-    normal: np.ndarray | None = None  # separating hyperplane otherwise
-    offset: float | None = None  # normal @ v_i <= offset < normal @ point
-    margin: float | None = None
+    normal: np.ndarray | None = None  # separating hyperplane, max |normal_j| = 1
+    offset: float | None = None  # max_i normal @ v_i, below normal @ point
+    margin: float | None = None  # normal @ point - offset > 0
 
 
 def hull_membership(point: Distribution, vertices: list[Distribution]) -> HullMembership:
     """Exact membership of a point in the convex hull of finitely many points.
 
-    Inside yields convex weights; outside yields a separating hyperplane
-    (normal, offset) with normal @ point > offset >= normal @ v_i.
+    One program, V.T @ w = point and sum(w) = 1 over w >= 0, answers both
+    ways. Inside yields its convex weights; outside, the Farkas ray of its
+    failed phase 1 yields a separating hyperplane (normal, offset) with
+    normal @ point > offset >= normal @ v_i, which is checked.
     """
     if not vertices:
         raise ValueError("vertex list must be nonempty")
@@ -365,33 +386,21 @@ def hull_membership(point: Distribution, vertices: list[Distribution]) -> HullMe
             raise SpaceMismatchError("hull vertices live on a different space")
     V = np.stack([v.probs for v in vertices])  # k x n
     k, n = V.shape
+    # the sum row stays: a point that undersums is not a mixture of vertices
     cons = [constraint(V[:, j], "=", point.probs[j]) for j in range(n)]
     cons.append(constraint(np.ones(k), "=", 1.0))
-    res = solve(LinearProgram(k, tuple(cons), sense="feasibility"))
-    if res.status == "OPTIMAL":
-        return HullMembership(inside=True, weights=res.witness)
-
-    # separation LP: max c @ x - t  s.t.  c @ v_i <= t, |c_j| <= 1,
-    # with c = u - w and t = t+ - t- split into nonnegative parts
-    nv = 2 * n + 2
-    obj = np.concatenate([point.probs, -point.probs, [-1.0, 1.0]])
-    cons = []
-    for i in range(k):
-        row = np.concatenate([V[i], -V[i], [-1.0, 1.0]])
-        cons.append(constraint(row, "<=", 0.0))
-    for j in range(2 * n):
-        row = np.zeros(nv)
-        row[j] = 1.0
-        cons.append(constraint(row, "<=", 1.0))
-    sep = solve(LinearProgram(nv, tuple(cons), objective=obj, sense="max"))
-    if sep.status != "OPTIMAL":
-        raise NumericalFailureError("separation LP failed")
-    u, w = sep.witness[:n], sep.witness[n : 2 * n]
-    normal = u - w
-    offset = float(sep.witness[2 * n] - sep.witness[2 * n + 1])
-    return HullMembership(
-        inside=False, normal=normal, offset=offset, margin=float(sep.value)
-    )
+    lp = PreparedLp(k, tuple(cons))
+    if lp.feasible:
+        return HullMembership(inside=True, weights=lp.optimize(np.zeros(k), "min").witness)
+    normal = lp.farkas[:n]
+    size = np.abs(normal).max()
+    if size > 0:
+        normal = normal / size
+    offset = float((V @ normal).max())
+    margin = float(normal @ point.probs) - offset
+    if not margin > 0:  # a zero normal separates nothing
+        raise NumericalFailureError("phase 1 gave no separating hyperplane")
+    return HullMembership(inside=False, normal=normal, offset=offset, margin=margin)
 
 
 def prepare_fractional(

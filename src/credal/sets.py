@@ -78,7 +78,8 @@ class IntervalDistribution:
         hi = np.asarray(self.hi, dtype=float).copy()
         if lo.shape != (self.space.size,) or hi.shape != (self.space.size,):
             raise ValueError("bound vectors must have one entry per atom")
-        if np.any(lo < -TAU_NORM) or np.any(hi > 1.0 + TAU_NORM) or np.any(lo > hi + TAU_NORM):
+        # written so that NaN, which fails every comparison, is refused too
+        if not np.all((lo >= -TAU_NORM) & (hi <= 1.0 + TAU_NORM) & (lo <= hi + TAU_NORM)):
             raise ValueError("bounds must satisfy 0 <= lo <= hi <= 1")
         if float(lo.sum()) > 1.0 + TAU_NORM or float(hi.sum()) < 1.0 - TAU_NORM:
             raise InfeasibleSystemError(

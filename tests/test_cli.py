@@ -234,6 +234,28 @@ def test_malformed_family_exits_two(tmp_path, capsys):
     assert "PARSE_ERROR" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"distributions": {"p": [0.2, 0.3, 0.5]}, "credal": {"vertices": ["p"]}},
+        {"intervals": {"box": {"lo": [0.1], "hi": [0.9, 0.9]}}, "credal": {"intervals": "box"}},
+        {"credal": {"constraints": [{"coeffs": [1, 0], "rel": ">=", "rhs": float("nan")}]}},
+    ],
+)
+def test_malformed_envelope_file_exits_two(tmp_path, capsys, obj):
+    path = write(tmp_path, "bad.json", {"space": {"atoms": ["a", "b"]}, **obj})
+    assert main(["envelope", path, "--event", "a"]) == 2
+    assert "PARSE_ERROR" in capsys.readouterr().err
+
+
+def test_malformed_pooling_file_exits_two(tmp_path, capsys):
+    path = write(tmp_path, "bad.json", {"space": {"atoms": ["a", "b"]},
+                                        "experts": {"x": [0.5, 0.5], "y": [0.2, 0.3, 0.5]},
+                                        "weights": [0.5, 0.5]})
+    assert main(["pool", path]) == 2
+    assert "PARSE_ERROR" in capsys.readouterr().err
+
+
 def test_domain_error_exits_one(tmp_path, capsys):
     path = write(
         tmp_path,

@@ -55,6 +55,12 @@ def test_expected_utility_errors(matrix3, opinions):
         expected_utility("a1", iid_coin(0.5, 2), matrix3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_utility_matrix_rejects_non_finite_entries(states3, bad):
+    with pytest.raises(ValueError, match="finite"):
+        UtilityMatrix(("a1", "a2"), states3, [[1.0, 2.0, bad], [0.0, 1.0, 2.0]])
+
+
 def test_two_point_admissibility(matrix3, opinions):
     rep = e_admissible(matrix3, VertexSet(opinions))
     assert rep.admissible_actions == ("a1", "a3")

@@ -148,6 +148,9 @@ MALFORMED_FORMS = {
         PROBLEM["space"], {"constraints": [{"coeffs": [1, 0, 0, 0], "rel": "<", "rhs": 0.5}]}
     ),
     "vertex-wrong-length": (PROBLEM["space"], {"vertices": [[0.5, 0.5]]}),
+    "rhs-nan": (
+        PROBLEM["space"], {"constraints": [{"coeffs": [1, 0, 0, 0], "rel": ">=", "rhs": float("nan")}]}
+    ),
     "interval-without-hi": (PROBLEM["space"], {"intervals": {"lo": [0.1] * 4}}),
 }
 
@@ -256,6 +259,26 @@ def test_book_file(tmp_path):
 def test_parse_errors(tmp_path, obj, message):
     with pytest.raises(ParseError, match=message):
         fileio.problem_from_obj(obj)
+
+
+TWO_ATOMS = {"atoms": ["a", "b"]}
+MALFORMED_FILES = {
+    "distribution-wrong-length": ("problem", {"space": TWO_ATOMS, "distributions": {"p": [0.2, 0.3, 0.5]}}),
+    "interval-lo-wrong-length": ("problem", {"space": TWO_ATOMS, "intervals": {"b": {"lo": [0.1], "hi": [1, 1]}}}),
+    "interval-lo-nan": ("problem", {"space": TWO_ATOMS, "intervals": {"b": {"lo": [float("nan"), 0], "hi": [1, 1]}}}),
+    "distributions-a-list": ("problem", {"space": TWO_ATOMS, "distributions": [[0.5, 0.5]]}),
+    "expert-wrong-length": ("pooling", {"space": TWO_ATOMS, "experts": {"x": [0.5, 0.5], "y": [0.2, 0.3, 0.5]},
+                                         "weights": [0.5, 0.5]}),
+    "unknown-mass-atom": ("mass_function", {"space": TWO_ATOMS, "masses": [{"set": ["a", "z"], "m": 1.0}]}),
+    "utility-nan": ("decision", {"space": TWO_ATOMS, "utilities": {"actions": ["x"], "matrix": [[1, float("nan")]]}}),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_FILES)
+def test_malformed_files_are_parse_errors(tmp_path, name):
+    kind, obj = MALFORMED_FILES[name]
+    with pytest.raises(ParseError):
+        getattr(fileio, f"load_{kind}")(write(tmp_path, "f.json", obj))
 
 
 def test_invalid_json_raises_parse_error(tmp_path):

@@ -19,7 +19,7 @@ from credal import (
 )
 from credal.errors import DenominatorVanishesError, InfeasibleSystemError, SpaceMismatchError
 from credal.inference import zeta_transform
-from credal.linprog import PreparedLp
+from credal.linprog import PreparedLp, enumerate_polytope_vertices
 
 
 def bounds_constraints(n, lo, hi):
@@ -164,6 +164,83 @@ def test_hull_membership_outside_gives_separator(states3):
     for v in (p1, p2, p3):
         assert float(res.normal @ v.probs) <= res.offset + 1e-8
     assert float(res.normal @ outside.probs) > res.offset + 1e-9
+
+
+def test_hull_membership_separates_a_point_just_off_a_segment(states3):
+    """A point 1e-8 off the segment between two vertices. The separation
+    program this replaced answered with normal 0, offset 0 and margin 0,
+    which separates nothing; the Farkas ray of the failed phase 1 does."""
+    V = [make_distribution(states3, [0.9, 0.05, 0.05]), make_distribution(states3, [0.05, 0.9, 0.05])]
+    q = (1 - 1e-8) * np.array([0.475, 0.475, 0.05]) + 1e-8 * np.array([0.0, 0.0, 1.0])
+    point = make_distribution(states3, q)
+    res = hull_membership(point, V)
+    assert res.inside is False
+    assert res.margin > 0
+    assert np.abs(res.normal).max() == pytest.approx(1.0)
+    assert res.offset == max(float(res.normal @ v.probs) for v in V)
+    assert res.margin == pytest.approx(float(res.normal @ point.probs) - res.offset, abs=1e-15)
+
+
+def test_hull_membership_builds_one_program(monkeypatch, states3):
+    V = [make_distribution(states3, [1 / 8, 3 / 4, 1 / 8]), make_distribution(states3, [1 / 4, 1 / 2, 1 / 4])]
+    built = []
+    init = PreparedLp.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(PreparedLp, "__init__", counting_init)
+    assert hull_membership(mixture([0.5, 0.5], V), V).inside
+    assert len(built) == 1
+    assert not hull_membership(make_distribution(states3, [1 / 3, 1 / 3, 1 / 3]), V).inside
+    assert len(built) == 2
+
+
+def test_hull_membership_of_an_undersummed_point(states3):
+    """0.5 v is not a mixture of [v]: the sum-of-weights row is not implied
+    by the atom rows when the point does not sum to 1."""
+    v = make_distribution(states3, [0.2, 0.3, 0.5])
+    half = make_distribution(states3, 0.5 * v.probs, require_normalized=False)
+    res = hull_membership(half, [v])
+    assert res.inside is False
+    assert float(res.normal @ half.probs) > res.offset >= float(res.normal @ v.probs)
+
+
+def test_farkas_ray_of_an_infeasible_program():
+    rows = (
+        constraint([1.0, 1.0], "<=", 1.0),
+        constraint([2e3, 0.0], ">=", 3e3),
+        constraint([0.0, 1.0], "=", 0.25),
+    )
+    lp = PreparedLp(2, rows)
+    assert not lp.feasible and lp.infeasibility > 0
+    A = np.array([c.coeffs for c in rows])
+    b = np.array([c.rhs for c in rows])
+    y = lp.farkas
+    assert np.all(y @ A <= 1e-12)
+    assert y @ b == pytest.approx(lp.infeasibility)
+    assert y[0] <= 0 <= y[1]  # <= rows weigh in with y <= 0, >= rows with y >= 0
+    assert PreparedLp(2, rows[:1]).farkas is None
+
+
+@pytest.mark.parametrize(
+    "coeffs,relation,rhs",
+    [
+        ([np.nan, 1.0], "<=", 0.5),  # made a "feasible" system with no feasible witness
+        ([1.0, -np.inf], "=", 0.5),
+        ([1.0, 0.0], ">=", np.nan),  # ended phase 1 with no pivot row at all
+        ([1.0, 0.0], "<=", np.inf),  # made a NaN phase-1 residual
+    ],
+)
+def test_programs_reject_non_finite_rows(coeffs, relation, rhs):
+    row = constraint(coeffs, relation, rhs)
+    with pytest.raises(ValueError, match="finite"):
+        LinearSystem(simple_space("a", "b"), (row,))
+    with pytest.raises(ValueError, match="finite"):
+        solve(LinearProgram(2, (row,), sense="feasibility"))
+    with pytest.raises(ValueError, match="finite"):
+        list(enumerate_polytope_vertices(2, (row,)))
 
 
 def test_hull_membership_space_mismatch(states3):

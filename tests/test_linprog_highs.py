@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import feasible
 
-from credal import LinearProgram, constraint, solve
+from credal import LinearProgram, constraint, hull_membership, make_distribution, simple_space, solve
 from credal.tolerances import TAU_LP
 
 linprog = pytest.importorskip("scipy.optimize").linprog
@@ -212,3 +212,42 @@ def test_program_without_rows(sign):
     objective = np.array([1.0, sign, 2.0])
     check_against_highs(3, (), objective, "min")
     check_against_highs(3, (), -objective, "max")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 1e-9, 1e-6, 1e-4, 1e-2, 0.3, 1.0]),
+    st.booleans(),
+)
+def test_hull_membership_contract(seed, eps, on_a_face):
+    """A random hull of 1 to 12 points on 2 to 8 atoms (on a face of the
+    simplex, if asked) and the point (1 - eps) mix + eps r, for a random
+    mix of the points and a random distribution r. Inside, the weights are
+    convex and rebuild the point; outside, the hyperplane separates.
+
+    Where eps >= 1e-4 the answer must agree with HiGHS, unless HiGHS's
+    tolerance lets it differ: it meets equality rows to 1e-7, and a
+    separator with max |normal_j| = 1 and margin m only keeps some row
+    m / n away. (At eps = 1e-9 HiGHS calls some points infeasible that
+    credal's weights rebuild to 1e-9.)"""
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(2, 9)), int(rng.integers(1, 13))
+    support = rng.choice(n, size=max(1, n // 2), replace=False) if on_a_face else np.arange(n)
+    V = np.zeros((k, n))
+    V[:, support] = rng.dirichlet(np.ones(support.size), size=k)
+    q = (1 - eps) * (rng.dirichlet(np.ones(k)) @ V) + eps * rng.dirichlet(np.ones(n))
+    q = q / q.sum()
+    space = simple_space(*(f"w{j}" for j in range(n)))
+    res = hull_membership(make_distribution(space, q), [make_distribution(space, v) for v in V])
+    if res.inside:
+        w = res.weights
+        assert np.all(w >= -1e-8) and abs(w.sum() - 1) <= 1e-8
+        assert np.abs(w @ V - q).max() <= 1e-8
+    else:
+        assert float(res.normal @ q) > res.offset >= (V @ res.normal).max() - 1e-8
+        assert res.margin > 0
+    if eps >= 1e-4 and (res.inside or res.margin > n * 1e-7):
+        A_eq = np.vstack([V.T, np.ones(k)])
+        highs = linprog(np.zeros(k), A_eq=A_eq, b_eq=np.append(q, 1.0), bounds=(0, None), method="highs")
+        assert res.inside == (highs.status == 0)

@@ -68,6 +68,9 @@ def test_interval_distribution_validation():
         IntervalDistribution(sp, [0.6, 0.6], [1.0, 1.0])  # sum lo > 1
     with pytest.raises(InfeasibleSystemError):
         IntervalDistribution(sp, [0.0, 0.0], [0.3, 0.3])  # sum hi < 1
+    for lo, hi in (([np.nan, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.nan]), ([0.0, 0.0], [np.inf, 1.0])):
+        with pytest.raises(ValueError):
+            IntervalDistribution(sp, lo, hi)
 
 
 def test_point_interval_pins_the_unique_member():

@@ -22,7 +22,7 @@ from .errors import (
 )
 # nothing here calls solve, but the benchmark's own test checks that its
 # tracer wraps the binding credal.decisions.solve, so it stays bound
-from .linprog import PreparedLp, constraint, solve  # noqa: F401
+from .linprog import PreparedLp, solve  # noqa: F401
 from .sets import CredalSet, LinearSystem, ParametricFamily, VertexSet, _member_from_witness
 from .spaces import OutcomeSpace
 from .tolerances import TAU_LP
@@ -114,7 +114,7 @@ def e_admissible(U: UtilityMatrix, S: CredalSet, tol: float = TAU_LP) -> Admissi
         V = np.stack([v.probs for v in S.vertices])
         return _report(U, V, S.vertices.__getitem__, tol)
     if isinstance(S, LinearSystem):
-        return _lp_admissible(U, S.full_constraints(), np.eye(S.space.size), tol)
+        return _lp_admissible(U, S._rows, np.eye(S.space.size), tol)
     if isinstance(S, ParametricFamily):
         return _family_admissible(U, S, tol)
     raise EmptySetError("unsupported credal set")
@@ -164,21 +164,22 @@ def e_admissible_over_hull(
     if space != U.space:
         raise SpaceMismatchError("members are over a different space")
     V = np.stack([p.probs for p in members])
-    return _lp_admissible(U, (constraint(np.ones(len(members)), "=", 1.0),), V, tol)
+    return _lp_admissible(U, (np.ones((1, len(V))), np.ones(1), np.zeros(1)), V, tol)
 
 
 def _lp_admissible(U: UtilityMatrix, rows, V: np.ndarray, tol: float) -> AdmissibilityReport:
-    """E-admissibility over the members V.T @ x, for x >= 0 meeting rows
-    (which hold sum(x) = 1), from one program over (x, z) with the added
-    rows z >= eu_b . x: the largest eu_a . x - z is a's best margin, so each
-    action runs phase 2 only. Utilities are shifted to be nonnegative
-    first, which moves no margin as sum(x) = 1, so z >= 0 cuts nothing."""
+    """E-admissibility over the members V.T @ x, for x >= 0 meeting the
+    stacked rows (A, b, sign), which hold sum(x) = 1, from one program
+    over (x, z) with the added rows z >= eu_b . x: the largest eu_a . x - z
+    is a's best margin, so each action runs phase 2 only. Utilities are
+    shifted to be nonnegative first, which moves no margin as sum(x) = 1,
+    so z >= 0 cuts nothing."""
     EU = U.u @ V.T  # actions x LP variables
     EU -= EU.min()
     k = len(V)
-    given = tuple(constraint(np.append(c.coeffs, 0.0), c.relation, c.rhs) for c in rows)
-    caps = tuple(constraint(np.append(eu, -1.0), "<=", 0.0) for eu in EU)
-    prepared = PreparedLp(k + 1, given + caps)
+    A, b, sign = rows
+    A = np.block([[A, np.zeros((len(A), 1))], [EU, -np.ones((len(EU), 1))]])
+    prepared = PreparedLp(A, np.append(b, np.zeros(len(EU))), np.append(sign, np.ones(len(EU))))
     X = np.stack([prepared.optimize(np.append(eu, -1.0), "max").witness[:k] for eu in EU])
     found = [_member_from_witness(U.space, p) for p in X @ V]
     return _report(U, np.stack([p.probs for p in found]), found.__getitem__, tol)

@@ -80,7 +80,8 @@ def make_distribution(
 ) -> Distribution:
     """Validate a probability vector and wrap it.
 
-    Raises NegativeMassError for entries below -TAU_NORM and
+    Raises ValueError for a vector of the wrong shape or with a NaN or
+    infinite entry, NegativeMassError for entries below -TAU_NORM and
     NotNormalizedError when an entry exceeds 1 + TAU_NORM or (unless
     ``require_normalized=False``) the sum differs from 1 by more than
     TAU_NORM.
@@ -89,7 +90,7 @@ def make_distribution(
     if arr.shape != (space.size,):
         raise ValueError(f"expected {space.size} probabilities, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise NotNormalizedError("probabilities must be finite")
+        raise ValueError("probabilities must be finite")
     if np.any(arr < -TAU_NORM):
         worst = float(arr.min())
         raise NegativeMassError(f"negative probability {worst}")

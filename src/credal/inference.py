@@ -26,7 +26,7 @@ from .errors import (
 )
 # nothing here calls hull_membership, but the benchmark's own test checks that
 # its tracer wraps the binding credal.inference.hull_membership, so it stays bound
-from .linprog import _stack, constraint, enumerate_polytope_vertices, hull_membership  # noqa: F401
+from .linprog import PreparedLp, constraint, enumerate_polytope_vertices, hull_membership  # noqa: F401
 from .sets import (
     CredalSet,
     IntervalDistribution,
@@ -63,13 +63,15 @@ def envelope(S: CredalSet, e: Event) -> Envelope:
 
 
 def conditionalize(S: CredalSet, e: Event) -> CredalSet:
-    """Memberwise Bayes' rule on the members with positive evidence.
+    """Bayes' rule on the members with positive evidence.
 
     VertexSet: conditions each vertex, drops zero-evidence vertices
-    (count kept on the result), collapses duplicates. LinearSystem:
-    per-atom conditional bounds via fractional_bounds, returned as the
-    box system they generate. ParametricFamily: composes the generator
-    with conditioning.
+    (count kept on the result), collapses duplicates. LinearSystem: the
+    box of exact per-atom conditional bounds, each the min or max of
+    p(j) / p(e) from one linear-fractional program, returned as the box
+    system it generates; this is an outer approximation of the set of
+    conditioned members, not that set. ParametricFamily: composes the
+    generator with conditioning.
     """
     if isinstance(S, VertexSet):
         kept: list[Distribution] = []
@@ -329,17 +331,18 @@ def belief_from_mass(m: MassFunction) -> SetFunction:
 
 def core_of_belief(space: OutcomeSpace, bel: np.ndarray) -> LinearSystem:
     """The polytope {p : p(A) >= bel[A] for all A} as a LinearSystem."""
-    n = space.size
-    rows = []
-    for mask in range(1, 2**n - 1):
-        if bel[mask] <= TAU_ZERO:
-            continue  # implied by p >= 0
-        ind = np.zeros(n)
-        for i in range(n):
-            if mask >> i & 1:
-                ind[i] = 1.0
-        rows.append(constraint(ind, ">=", float(bel[mask])))
-    return LinearSystem(space, tuple(rows))
+    A, b, _ = _core_rows(space.size, bel)
+    return LinearSystem(space, tuple(constraint(a, ">=", r) for a, r in zip(A[:-1], b[:-1])))
+
+
+def _core_rows(n: int, bel: np.ndarray):
+    """The core's full stacked rows (A, b, sign): p(A) >= bel[A] for each
+    proper subset A with bel[A] > TAU_ZERO (the rest are implied by
+    p >= 0), in mask order, then the simplex row."""
+    masks = np.arange(1, 2**n - 1)
+    masks = masks[~(bel[masks] <= TAU_ZERO)]  # a NaN stays, for LinearSystem to refuse
+    A = (masks[:, None] >> np.arange(n) & 1).astype(float)
+    return np.vstack([A, np.ones(n)]), np.append(bel[masks], 1.0), np.append(-np.ones(len(masks)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -429,12 +432,12 @@ def _set_equals_core(S: CredalSet, bel: np.ndarray, is_belief: bool) -> bool | N
     so on its two ends; rank > 2 spans a plane with a curve, never convex.
     Several branches are reported False, missing a union that is convex.
     """
-    space = S.space
-    n = space.size
+    n = S.space.size
 
     if isinstance(S, LinearSystem):
-        A, b, sign = _stack(n, S.constraints)
-        lows, highs = core_of_belief(space, bel).ranges(A)
+        A, b, sign = (r[:-1] for r in S._rows)  # the explicit rows
+        core = PreparedLp(*_core_rows(n, bel))
+        lows, highs = core.optimize_many(A, "min"), core.optimize_many(A, "max")
         return not np.any((sign >= 0) & (highs > b + TAU_LP) | (sign <= 0) & (lows < b - TAU_LP))
 
     if isinstance(S, ParametricFamily):
@@ -453,7 +456,7 @@ def _set_equals_core(S: CredalSet, bel: np.ndarray, is_belief: bool) -> bool | N
         return _chains_all_tight(V, bel)
     if n > 5:
         return None
-    vertices = enumerate_polytope_vertices(n, core_of_belief(space, bel).full_constraints())
+    vertices = enumerate_polytope_vertices(*_core_rows(n, bel))
     return all(np.abs(V - x).max(axis=1).min() <= 10 * TAU_LP for x in vertices)
 
 

@@ -7,24 +7,27 @@ after an iteration threshold so degenerate programs cannot cycle. One
 driver, ``_run_simplex``, serves phase 1 and phase 2: it works on a
 tableau whose last row is the reduced-cost row of the objective.
 
-``PreparedLp`` is the one kernel path. It stacks the rows of a program
-once into arrays: A, b and a per-row sign (+1 for <=, 0 for =, -1 for
->=). Phase 1 runs on the rows equilibrated, each row and its rhs divided
-by the row's largest |coefficient|, so that the absolute pivot and
-phase-1 tolerances mean the same thing at every row scale; the reported
-phase-1 residual is in those units. ``optimize`` runs phase 2 for one
-objective on a copy of the phase-1 tableau. ``optimize_many`` runs it for
-a stack of objectives on one working copy, each from the optimal basis of
-the one before, which stays feasible because the rows do not change; a
-lower-envelope sweep over subsets in Gray-code order then takes under
-one pivot per LP on average. Every witness is checked against the rows as
-given, at 10 * TAU_LP, with a matrix product (one per block of witnesses
-in ``optimize_many``). Pivoting is deterministic: the same program and
-objectives give the same answers. An infeasible program keeps the duals
-of its failed phase 1 as ``farkas``, a ray y with y @ A <= 0 < y @ b in
-the units of the rows as given; ``hull_membership`` reads its separating
-hyperplane off that ray. ``solve`` prepares a program and optimizes it
-once; it is public API, and the library itself no longer calls it.
+``PreparedLp`` is the one kernel path. It takes a program as stacked
+rows: A, b and a per-row sign (+1 for <=, 0 for =, -1 for >=); the
+library builds every program it runs as such arrays. ``Constraint`` is
+the public input format, which ``_stack`` turns into those arrays for
+``LinearSystem`` and ``solve``. Phase 1 runs on the rows equilibrated,
+each row and its rhs divided by the row's largest |coefficient|, so that
+the absolute pivot and phase-1 tolerances mean the same thing at every
+row scale; the reported phase-1 residual is in those units. ``optimize``
+runs phase 2 for one objective on a copy of the phase-1 tableau.
+``optimize_many`` runs it for a stack of objectives on one working copy,
+each from the optimal basis of the one before, which stays feasible
+because the rows do not change; a lower-envelope sweep over subsets in
+Gray-code order then takes under one pivot per LP on average. Every
+witness is checked against the rows as given, at 10 * TAU_LP, with a
+matrix product (one per block of witnesses in ``optimize_many``).
+Pivoting is deterministic: the same program and objectives give the same
+answers. An infeasible program keeps the duals of its failed phase 1 as
+``farkas``, a ray y with y @ A <= 0 < y @ b in the units of the rows as
+given; ``hull_membership`` reads its separating hyperplane off that ray.
+``solve`` prepares a program and optimizes it once; it is public API,
+and the library itself no longer calls it.
 """
 
 from __future__ import annotations
@@ -85,9 +88,6 @@ class LinearProgram:
     def __post_init__(self):
         if self.sense not in ("min", "max", "feasibility"):
             raise ValueError(f"bad sense {self.sense!r}")
-        for c in self.constraints:
-            if c.coeffs.shape != (self.n_vars,):
-                raise ValueError("constraint length does not match n_vars")
         if self.sense != "feasibility":
             obj = np.asarray(self.objective, dtype=float).copy()
             if obj.shape != (self.n_vars,):
@@ -177,9 +177,13 @@ _SIGN = {"<=": 1.0, "=": 0.0, ">=": -1.0}
 def _stack(n_vars: int, constraints: tuple[Constraint, ...]):
     """The rows as arrays: (A, b, sign), sign +1 for <=, 0 for =, -1 for >=.
 
-    Every program passes through here, so a NaN or infinite coefficient or
-    rhs is refused here, once per program; a check in each Constraint
-    would run once per row, and the library builds rows by the dozen."""
+    Every program given as Constraints passes through here, so a row of
+    the wrong length and a NaN or infinite coefficient or rhs are refused
+    here, once per program. The library builds its own programs as arrays
+    from inputs already checked: rows stacked here, distributions and
+    utilities."""
+    if any(c.coeffs.shape != (n_vars,) for c in constraints):
+        raise ValueError(f"every constraint row needs n_vars = {n_vars} coefficients")
     A = np.array([c.coeffs for c in constraints], dtype=float).reshape(-1, n_vars)
     b = np.array([c.rhs for c in constraints], dtype=float)
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
@@ -197,11 +201,11 @@ def _violation(rows, x: np.ndarray) -> np.ndarray:
 
 
 class PreparedLp:
-    """A constraint set with phase 1 already run, reusable across
-    objectives.
+    """The program A @ x (<=, =, >=) b by sign (+1, 0, -1) over x >= 0,
+    with phase 1 already run, reusable across objectives.
 
-    Building one stacks the rows, runs phase 1 on them equilibrated and
-    drives artificials out. ``optimize`` then copies the feasible tableau
+    Building one runs phase 1 on the rows equilibrated and drives
+    artificials out. ``optimize`` then copies the feasible tableau
     and runs phase 2 only; ``optimize_many`` runs phase 2 for a stack of
     objectives on one working copy, each from the basis where the last one
     ended. An infeasible program keeps its phase-1 residual and its Farkas
@@ -209,9 +213,9 @@ class PreparedLp:
     construction and safe to share.
     """
 
-    def __init__(self, n_vars: int, constraints: tuple[Constraint, ...]):
-        self.n_vars = n = n_vars
-        self._rows = A, b, sign = _stack(n, constraints)  # as given, for witness checks
+    def __init__(self, A: np.ndarray, b: np.ndarray, sign: np.ndarray):
+        self.n_vars = n = A.shape[1]
+        self._rows = A, b, sign  # as given, for witness checks
         m = len(b)
         # equilibrate: each row (and its rhs) over its largest |coefficient|,
         # negated where that makes the rhs nonnegative
@@ -333,7 +337,7 @@ class PreparedLp:
 
 def solve(lp: LinearProgram) -> LpResult:
     """Two-phase simplex. Witnesses are feasible within 10 * TAU_LP."""
-    prepared = PreparedLp(lp.n_vars, lp.constraints)
+    prepared = PreparedLp(*_stack(lp.n_vars, lp.constraints))
     if lp.sense == "feasibility":
         return prepared.optimize(np.zeros(lp.n_vars), "min")
     return prepared.optimize(lp.objective, lp.sense)
@@ -387,9 +391,7 @@ def hull_membership(point: Distribution, vertices: list[Distribution]) -> HullMe
     V = np.stack([v.probs for v in vertices])  # k x n
     k, n = V.shape
     # the sum row stays: a point that undersums is not a mixture of vertices
-    cons = [constraint(V[:, j], "=", point.probs[j]) for j in range(n)]
-    cons.append(constraint(np.ones(k), "=", 1.0))
-    lp = PreparedLp(k, tuple(cons))
+    lp = PreparedLp(np.vstack([V.T, np.ones(k)]), np.append(point.probs, 1.0), np.zeros(n + 1))
     if lp.feasible:
         return HullMembership(inside=True, weights=lp.optimize(np.zeros(k), "min").witness)
     normal = lp.farkas[:n]
@@ -403,34 +405,30 @@ def hull_membership(point: Distribution, vertices: list[Distribution]) -> HullMe
     return HullMembership(inside=False, normal=normal, offset=offset, margin=margin)
 
 
-def prepare_fractional(
-    n_vars: int, constraints: tuple[Constraint, ...], denominator: np.ndarray
-) -> PreparedLp:
+def prepare_fractional(rows, denominator: np.ndarray) -> PreparedLp:
     """Phase-1-completed program for ratio objectives over a probability
-    polytope with a fixed denominator event.
+    polytope, given as its full stacked rows (the simplex row included),
+    with a fixed denominator event.
 
     Uses the standard substitution y = t p, t = 1 / (denominator @ p):
-    the explicit rows become homogeneous in (y, t), the simplex row
-    becomes sum(y) = t, and the denominator becomes the normalization
-    y @ d = 1. Optimize with objectives of the form append(num, 0).
+    every row becomes homogeneous in (y, t), the simplex row becoming
+    sum(y) = t, and the denominator becomes the normalization y @ d = 1.
+    Optimize with objectives of the form append(num, 0).
     """
-    rows = []
-    for c in constraints:
-        rows.append(constraint(np.append(c.coeffs, -c.rhs), c.relation, 0.0))
-    rows.append(constraint(np.append(np.ones(n_vars), -1.0), "=", 0.0))  # sum p = 1
-    rows.append(constraint(np.append(denominator, 0.0), "=", 1.0))
-    return PreparedLp(n_vars + 1, tuple(rows))
+    A, b, sign = rows
+    A = np.vstack([np.column_stack([A, -b]), np.append(denominator, 0.0)])
+    return PreparedLp(A, np.append(np.zeros(len(b)), 1.0), np.append(sign, 0.0))
 
 
-def enumerate_polytope_vertices(n_vars: int, constraints: tuple[Constraint, ...]):
-    """Brute-force vertex enumeration of {x >= 0, constraints}.
+def enumerate_polytope_vertices(A: np.ndarray, b: np.ndarray, sign: np.ndarray):
+    """Brute-force vertex enumeration of {x >= 0, A @ x (<=, =, >=) b}.
 
-    Tries every choice of n_vars tight hyperplanes among the constraint
-    rows and the coordinate planes, yielding each feasible solution as it
-    is found; a degenerate vertex repeats, once per choice that meets it.
-    Only intended for small systems (MAX_VERTEX_COMBINATIONS guards it).
+    Tries every choice of n_vars tight hyperplanes among the rows and the
+    coordinate planes, yielding each feasible solution as it is found; a
+    degenerate vertex repeats, once per choice that meets it. Only
+    intended for small systems (MAX_VERTEX_COMBINATIONS guards it).
     """
-    rows = A, b, sign = _stack(n_vars, constraints)
+    n_vars = A.shape[1]
     planes = np.vstack([A, np.eye(n_vars)])  # the rows, then the coordinate planes
     plane_rhs = np.concatenate([b, np.zeros(n_vars)])
     equality = np.concatenate([sign == 0, np.zeros(n_vars, dtype=bool)])
@@ -450,6 +448,6 @@ def enumerate_polytope_vertices(n_vars: int, constraints: tuple[Constraint, ...]
         if (
             np.all(np.isfinite(x))
             and np.all(x >= -TAU_LP)
-            and np.all(_violation(rows, x) <= TAU_LP)
+            and np.all(_violation((A, b, sign), x) <= TAU_LP)
         ):
             yield x

@@ -55,7 +55,7 @@ from .errors import (
     ZeroEvidenceError,
 )
 from .linprog import (
-    Constraint, LpResult, PreparedLp, constraint, prepare_fractional,
+    Constraint, LpResult, PreparedLp, _stack, constraint, prepare_fractional,
 )
 from .spaces import Event, OutcomeSpace, coin_space
 from .tolerances import TAU_LP, TAU_NORM, TAU_ZERO
@@ -147,30 +147,29 @@ class LinearSystem:
     """All distributions satisfying the constraints; feasibility is
     verified on construction.
 
-    Construction runs the solver's phase 1 once; the prepared tableau is
-    kept so later optimizations over the same system skip straight to
-    phase 2.
+    Construction stacks the full rows once, the simplex row last, and runs
+    phase 1 on them; both are kept, so later programs over the system are
+    built from the rows and later optimizations skip straight to phase 2.
     """
 
     space: OutcomeSpace
     constraints: tuple[Constraint, ...]
 
     def __post_init__(self):
-        for c in self.constraints:
-            if c.coeffs.shape != (self.space.size,):
-                raise ValueError("constraint length does not match space size")
-        prepared = PreparedLp(self.space.size, self.full_constraints())
+        n = self.space.size
+        A, b, sign = _stack(n, self.constraints)
+        rows = np.vstack([A, np.ones(n)]), np.append(b, 1.0), np.append(sign, 0.0)
+        prepared = PreparedLp(*rows)
         if not prepared.feasible:
             raise InfeasibleSystemError(
                 f"constraint system is infeasible (residual {prepared.infeasibility})"
             )
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_prepared", prepared)
 
     def full_constraints(self) -> tuple[Constraint, ...]:
         """Explicit rows plus the simplex normalization row."""
-        rows = list(self.constraints)
-        rows.append(constraint(np.ones(self.space.size), "=", 1.0))
-        return tuple(rows)
+        return (*self.constraints, constraint(np.ones(self.space.size), "=", 1.0))
 
     def optimize(self, objective: np.ndarray, sense: str) -> LpResult:
         return self._prepared.optimize(np.asarray(objective, dtype=float), sense)
@@ -234,12 +233,8 @@ def _member_from_witness(space: OutcomeSpace, witness: np.ndarray) -> Distributi
 def interval_to_linear_system(iv: IntervalDistribution) -> LinearSystem:
     """Box bounds per atom as a (feasibility-checked) LinearSystem."""
     rows = []
-    n = iv.space.size
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        rows.append(constraint(e, ">=", float(iv.lo[j])))
-        rows.append(constraint(e, "<=", float(iv.hi[j])))
+    for e, lo, hi in zip(np.eye(iv.space.size), iv.lo, iv.hi):
+        rows += [constraint(e, ">=", lo), constraint(e, "<=", hi)]
     return LinearSystem(iv.space, tuple(rows))
 
 
@@ -364,7 +359,7 @@ class ParametricFamily:
         # points s <= 1/2 are solved in s, the rest in u = 1 - s
         forms = [f for f, used in ((0, a <= 0.5), (1, z > 0.5)) if used]
         blocks = [_critical_polys(b.atom_forms[f], ev, levels, ratios) for f in forms]
-        found, t = _real_roots(_stack([polys for polys, _ in blocks]))
+        found, t = _real_roots(_stack_polys([polys for polys, _ in blocks]))
         flip = np.concatenate([np.full(len(p), f) for f, (p, _) in zip(forms, blocks)])[found]
         edge = np.concatenate([e for _, e in blocks])[found]
         roots = np.where(flip == 1, 1.0 - t, t)[t <= 0.5]
@@ -509,7 +504,7 @@ def _critical_polys(form, ev, levels, ratios):
         edge = restricted.sum(axis=0)
         edge[0] -= _EDGE
         polys.append(edge[None, :])
-    stacked = _stack(polys)
+    stacked = _stack_polys(polys)
     is_edge = np.zeros(len(stacked), dtype=bool)
     is_edge[-1:] = ev is not None
     return stacked, is_edge
@@ -521,7 +516,7 @@ def _pad(A: np.ndarray, width: int) -> np.ndarray:
     return np.pad(A, ((0, 0), (0, width - A.shape[1])))
 
 
-def _stack(blocks) -> np.ndarray:
+def _stack_polys(blocks) -> np.ndarray:
     blocks = [b for b in blocks if len(b)]
     if not blocks:
         return np.zeros((0, 1))
@@ -623,7 +618,7 @@ def _ratio_program(system: LinearSystem, den: np.ndarray, refusal: type) -> Prep
     upper = system.optimize(den, "max")
     if upper.status != "OPTIMAL" or upper.value <= TAU_ZERO:
         raise refusal("conditioning event has zero upper probability over the system")
-    return prepare_fractional(system.space.size, system.constraints, den)
+    return prepare_fractional(system._rows, den)
 
 
 def fractional_bounds(

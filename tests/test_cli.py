@@ -238,6 +238,7 @@ def test_malformed_family_exits_two(tmp_path, capsys):
     "obj",
     [
         {"distributions": {"p": [0.2, 0.3, 0.5]}, "credal": {"vertices": ["p"]}},
+        {"distributions": {"p": [float("nan"), 1.0]}, "credal": {"vertices": ["p"]}},
         {"intervals": {"box": {"lo": [0.1], "hi": [0.9, 0.9]}}, "credal": {"intervals": "box"}},
         {"credal": {"constraints": [{"coeffs": [1, 0], "rel": ">=", "rhs": float("nan")}]}},
     ],

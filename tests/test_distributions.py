@@ -53,6 +53,12 @@ def test_negative_mass_rejected():
         make_distribution(sp, [1.2, -0.2])
 
 
+@pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, 0.0], [0.5, -np.inf]])
+def test_non_finite_entries_rejected(bad):
+    with pytest.raises(ValueError, match="probabilities must be finite"):
+        make_distribution(simple_space("a", "b"), bad)
+
+
 def test_unnormalized_escape_hatch():
     sp = simple_space("a", "b")
     d = make_distribution(sp, [0.5, 0.48], require_normalized=False)

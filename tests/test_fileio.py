@@ -264,6 +264,7 @@ def test_parse_errors(tmp_path, obj, message):
 TWO_ATOMS = {"atoms": ["a", "b"]}
 MALFORMED_FILES = {
     "distribution-wrong-length": ("problem", {"space": TWO_ATOMS, "distributions": {"p": [0.2, 0.3, 0.5]}}),
+    "distribution-nan": ("problem", {"space": TWO_ATOMS, "distributions": {"p": [float("nan"), 1.0]}}),
     "interval-lo-wrong-length": ("problem", {"space": TWO_ATOMS, "intervals": {"b": {"lo": [0.1], "hi": [1, 1]}}}),
     "interval-lo-nan": ("problem", {"space": TWO_ATOMS, "intervals": {"b": {"lo": [float("nan"), 0], "hi": [1, 1]}}}),
     "distributions-a-list": ("problem", {"space": TWO_ATOMS, "distributions": [[0.5, 0.5]]}),

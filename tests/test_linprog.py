@@ -6,20 +6,26 @@ import pytest
 
 from credal import (
     Event,
+    IntervalDistribution,
     LinearProgram,
     LinearSystem,
+    UtilityMatrix,
     constraint,
+    e_admissible,
+    e_admissible_over_hull,
     fractional_bounds,
     hull_membership,
     iid_coin,
+    interval_to_linear_system,
     make_distribution,
     mixture,
+    mobius_report,
     simple_space,
     solve,
 )
 from credal.errors import DenominatorVanishesError, InfeasibleSystemError, SpaceMismatchError
 from credal.inference import zeta_transform
-from credal.linprog import PreparedLp, enumerate_polytope_vertices
+from credal.linprog import Constraint, PreparedLp, _stack, enumerate_polytope_vertices
 
 
 def bounds_constraints(n, lo, hi):
@@ -80,7 +86,7 @@ def test_optimize_many_matches_optimize_and_marks_unbounded_rows():
     """Over x0 - x1 <= 1, x >= 0 the rays are (a, b) with b >= a >= 0, so
     three rows are unbounded in each sense; the chain goes on after an
     unbounded row from the basis it stopped in."""
-    prepared = PreparedLp(2, (constraint(np.array([1.0, -1.0]), "<=", 1.0),))
+    prepared = PreparedLp(*_stack(2, (constraint(np.array([1.0, -1.0]), "<=", 1.0),)))
     rows = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 0.5], [2.0, -3.0], [0.0, 1.0]])
     lows = prepared.optimize_many(rows, "min")
     highs = prepared.optimize_many(rows, "max")
@@ -97,7 +103,7 @@ def test_optimize_many_matches_optimize_and_marks_unbounded_rows():
 def test_optimize_many_refuses_an_infeasible_program():
     rows = (constraint(np.ones(2), ">=", 2.0), constraint(np.ones(2), "<=", 1.0))
     with pytest.raises(InfeasibleSystemError):
-        PreparedLp(2, rows).optimize_many(np.eye(2), "min")
+        PreparedLp(*_stack(2, rows)).optimize_many(np.eye(2), "min")
 
 
 def test_witness_feasible_and_value_consistent(rng):
@@ -213,7 +219,7 @@ def test_farkas_ray_of_an_infeasible_program():
         constraint([2e3, 0.0], ">=", 3e3),
         constraint([0.0, 1.0], "=", 0.25),
     )
-    lp = PreparedLp(2, rows)
+    lp = PreparedLp(*_stack(2, rows))
     assert not lp.feasible and lp.infeasibility > 0
     A = np.array([c.coeffs for c in rows])
     b = np.array([c.rhs for c in rows])
@@ -221,7 +227,7 @@ def test_farkas_ray_of_an_infeasible_program():
     assert np.all(y @ A <= 1e-12)
     assert y @ b == pytest.approx(lp.infeasibility)
     assert y[0] <= 0 <= y[1]  # <= rows weigh in with y <= 0, >= rows with y >= 0
-    assert PreparedLp(2, rows[:1]).farkas is None
+    assert PreparedLp(*_stack(2, rows[:1])).farkas is None
 
 
 @pytest.mark.parametrize(
@@ -240,7 +246,61 @@ def test_programs_reject_non_finite_rows(coeffs, relation, rhs):
     with pytest.raises(ValueError, match="finite"):
         solve(LinearProgram(2, (row,), sense="feasibility"))
     with pytest.raises(ValueError, match="finite"):
-        list(enumerate_polytope_vertices(2, (row,)))
+        list(enumerate_polytope_vertices(*_stack(2, (row,))))
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [[1.0]],  # short
+        [[1.0, 0.0, 1.0]],  # long
+        [[1.0, 0.0], [1.0, 1.0, 0.0]],  # ragged
+        [[1.0, 0.0, 0.0, 1.0]],  # as many entries as two rows
+        [[[1.0, 0.0]]],  # the right size in the wrong shape
+    ],
+)
+def test_programs_reject_rows_of_the_wrong_length(coeffs):
+    rows = tuple(constraint(c, "<=", 1.0) for c in coeffs)
+    message = "every constraint row needs n_vars = 2 coefficients"
+    with pytest.raises(ValueError, match=message):
+        LinearSystem(simple_space("a", "b"), rows)
+    with pytest.raises(ValueError, match=message):
+        solve(LinearProgram(2, rows, sense="feasibility"))
+    with pytest.raises(ValueError, match=message):
+        list(enumerate_polytope_vertices(*_stack(2, rows)))
+
+
+def test_library_programs_build_no_constraint(monkeypatch):
+    """The programs the library builds for itself (admissibility caps,
+    hull weights, ratio programs, the core test) are stacked from arrays:
+    once the inputs exist, not one Constraint is made."""
+    sp = simple_space("a", "b", "c", "d")
+    S = LinearSystem(sp, (constraint([1, -1, 0, 0], "<=", 0.2), constraint([0, 1, 1, 0], ">=", 0.3)))
+    box = interval_to_linear_system(IntervalDistribution(sp, [0.1, 0.2, 0.0, 0.1], [0.4, 0.5, 0.3, 0.6]))
+    U = UtilityMatrix(("x", "y", "z"), sp, np.array([[1.0, 0, 0, 2], [0, 1, 1, 0], [0.5, 0.5, 0.5, 0.5]]))
+    members = [make_distribution(sp, p) for p in np.eye(4)[:3]]
+    inside, outside = members[0], make_distribution(sp, [0.25] * 4)
+    calls = {
+        "e_admissible": lambda: e_admissible(U, S),
+        "e_admissible_over_hull": lambda: e_admissible_over_hull(U, members),
+        "hull_membership": lambda: (hull_membership(inside, members), hull_membership(outside, members)),
+        "fractional_bounds": lambda: fractional_bounds(S, Event.of(sp, "a"), Event.of(sp, "a", "b"), "max"),
+        "mobius_report": lambda: mobius_report(box),
+    }
+    made = []
+    post_init = Constraint.__post_init__
+
+    def counting(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Constraint, "__post_init__", counting)
+    counts = {}
+    for name, call in calls.items():
+        made.clear()
+        call()
+        counts[name] = len(made)
+    assert counts == dict.fromkeys(calls, 0)
 
 
 def test_hull_membership_space_mismatch(states3):

@@ -155,13 +155,22 @@ def condition_distribution(d: Distribution, e: Event) -> Distribution:
     """Bayes' rule: renormalize on the event, zero elsewhere."""
     if e.space != d.space:
         raise SpaceMismatchError("event is over a different space")
-    pe = d.p(e)
-    if pe <= TAU_ZERO:
-        raise ZeroEvidenceError(f"event probability {pe} is at or below {TAU_ZERO}")
-    out = np.zeros(d.space.size)
+    keep, rows = _bayes_rows(d.probs[None, :], e)
+    if not keep[0]:
+        raise ZeroEvidenceError(f"event probability {d.p(e)} is at or below {TAU_ZERO}")
+    return make_distribution(d.space, rows[0])
+
+
+def _bayes_rows(M: np.ndarray, e: Event):
+    """Bayes' rule on members as the rows of M: the mask of rows whose
+    event probability exceeds TAU_ZERO, and those rows renormalized on the
+    event, zero elsewhere."""
     idx = list(e.indices)
-    out[idx] = d.probs[idx] / pe
-    return make_distribution(d.space, out)
+    pe = M[:, idx].sum(axis=1)
+    keep = pe > TAU_ZERO
+    out = np.zeros_like(M[keep])
+    out[:, idx] = M[keep][:, idx] / pe[keep][:, None]
+    return keep, out
 
 
 def iid_coin(p_heads: float, n_tosses: int) -> Distribution:

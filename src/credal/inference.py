@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import Distribution, condition_distribution, marginalize
+from .distributions import Distribution, _bayes_rows, make_distribution, marginalize
 from .errors import (
     EmptySetError,
     NegativeMassError,
@@ -21,7 +21,6 @@ from .errors import (
     NotNormalizedError,
     SpaceMismatchError,
     SpaceTooLargeError,
-    ZeroEvidenceError,
     ZeroEvidenceEverywhereError,
 )
 # nothing here calls hull_membership, but the benchmark's own test checks that
@@ -73,22 +72,19 @@ def conditionalize(S: CredalSet, e: Event) -> CredalSet:
     conditioned members, not that set. ParametricFamily: composes the
     generator with conditioning.
     """
+    if e.space != S.space:
+        raise SpaceMismatchError("event is over a different space")
     if isinstance(S, VertexSet):
+        keep, rows = _bayes_rows(np.stack([v.probs for v in S.vertices]), e)
         kept: list[Distribution] = []
-        dropped = 0
-        for v in S.vertices:
-            try:
-                c = condition_distribution(v, e)
-            except ZeroEvidenceError:
-                dropped += 1
-                continue
+        for c in (make_distribution(S.space, r) for r in rows):
             if not any(c.allclose(u) for u in kept):
                 kept.append(c)
         if not kept:
             raise ZeroEvidenceEverywhereError(
                 "every member assigns the event probability <= TAU_ZERO"
             )
-        return VertexSet(tuple(kept), dropped=dropped)
+        return VertexSet(tuple(kept), dropped=int(len(keep) - len(rows)))
 
     if isinstance(S, LinearSystem):
         prepared = _ratio_program(S, e.indicator(), ZeroEvidenceEverywhereError)
@@ -122,7 +118,10 @@ class IndependenceReport:
     The violation at a cell is |d(x,y,z) d(y) - d(x,y) d(y,z)| (cross
     multiplied, so no division); ``actual`` and ``product_value`` give
     the same worst cell in ratio form, d(x,y,z) versus
-    d(x,y) d(y,z) / d(y).
+    d(x,y) d(y,z) / d(y). A pairwise check is the conditional one with a
+    single conditioning value, the whole space: d(y) is the table's
+    total, so the violation is |d(x,z) total - d(x) d(z)|, the verdict does
+    not depend on the table's scale, and ``worst_cell`` is (x, z).
     """
 
     passed: bool
@@ -139,12 +138,29 @@ def check_conditional_independence(
     d: Distribution, x: str, z: str, given: str, tol: float = 1e-9
 ) -> IndependenceReport:
     """Does d make x and z independent given ``given``?"""
+    return _independence(d, x, z, given, tol)
+
+
+def check_pairwise_independence(
+    d: Distribution, x: str, z: str, tol: float = 1e-9
+) -> IndependenceReport:
+    """Does d make x and z (unconditionally) independent? The conditional
+    check given one value, so it does not depend on the table's scale."""
+    return _independence(d, x, z, None, tol)
+
+
+def _independence(d: Distribution, x: str, z: str, given: str | None, tol: float) -> IndependenceReport:
+    """The check on the table with axes (x, given, z); with no ``given``
+    the middle axis has length one and d(y) is the table's total."""
     if not d.space.is_factorized:
         raise NotFactorizedError("independence checks need a factorized space")
-    joint = marginalize(d, _ordered_vars(d.space, [x, given, z]))
+    names = [x, z] if given is None else [x, given, z]
+    joint = marginalize(d, _ordered_vars(d.space, names))
     t = joint.tensor()
     axes = {v.name: i for i, v in enumerate(joint.space.variables)}
-    t = np.moveaxis(t, (axes[x], axes[given], axes[z]), (0, 1, 2))
+    t = np.moveaxis(t, [axes[v] for v in names], range(len(names)))
+    if given is None:
+        t = t[:, None, :]
     dxy = t.sum(axis=2)  # x, y
     dyz = t.sum(axis=0)  # y, z
     dy = t.sum(axis=(0, 2))  # y
@@ -158,47 +174,16 @@ def check_conditional_independence(
     if max_v < 0:  # everything skipped
         return IndependenceReport(True, 0.0, None, None, None, tol, given, skipped)
     i, j, k = np.unravel_index(_first_near_max(viol, max_v), viol.shape)
-    xs = d.space.variable(x).values
-    ys = d.space.variable(given).values
-    zs = d.space.variable(z).values
-    product_value = float(rhs[i, j, k] / dy[j]) if dy[j] > TAU_ZERO else None
+    at = {x: i, given: j, z: k}
     return IndependenceReport(
         passed=max_v <= tol,
         max_violation=max_v,
-        worst_cell=(xs[i], ys[j], zs[k]),
+        worst_cell=tuple(d.space.variable(v).values[at[v]] for v in names),
         actual=float(t[i, j, k]),
-        product_value=product_value,
+        product_value=float(rhs[i, j, k] / dy[j]),
         tol=tol,
         conditioning_var=given,
         skipped_cells=skipped,
-    )
-
-
-def check_pairwise_independence(
-    d: Distribution, x: str, z: str, tol: float = 1e-9
-) -> IndependenceReport:
-    """Does d make x and z (unconditionally) independent?"""
-    if not d.space.is_factorized:
-        raise NotFactorizedError("independence checks need a factorized space")
-    joint = marginalize(d, _ordered_vars(d.space, [x, z]))
-    t = joint.tensor()
-    axes = {v.name: i for i, v in enumerate(joint.space.variables)}
-    t = np.moveaxis(t, (axes[x], axes[z]), (0, 1))
-    dx = t.sum(axis=1)
-    dz = t.sum(axis=0)
-    viol = np.abs(t - dx[:, None] * dz[None, :])
-    max_v = float(viol.max())
-    i, k = np.unravel_index(_first_near_max(viol, max_v), viol.shape)
-    xs = d.space.variable(x).values
-    zs = d.space.variable(z).values
-    return IndependenceReport(
-        passed=float(viol[i, k]) <= tol,
-        max_violation=float(viol[i, k]),
-        worst_cell=(xs[i], zs[k]),
-        actual=float(t[i, k]),
-        product_value=float(dx[i] * dz[k]),
-        tol=tol,
-        conditioning_var=None,
     )
 
 
@@ -286,23 +271,23 @@ def atoms_of(space: OutcomeSpace, mask: int) -> tuple[str, ...]:
 
 def zeta_transform(values: np.ndarray) -> np.ndarray:
     """out[A] = sum over B subset of A of values[B]."""
-    out = values.astype(float).copy()
-    n = int(math.log2(len(out)))
-    masks = np.arange(len(out))
-    for i in range(n):
-        has = (masks >> i & 1) == 1
-        out[has] += out[masks[has] ^ (1 << i)]
-    return out
+    return _subset_sums(values, 1.0)
 
 
 def mobius_transform(values: np.ndarray) -> np.ndarray:
     """Inverse of the zeta transform (inclusion-exclusion)."""
+    return _subset_sums(values, -1.0)
+
+
+def _subset_sums(values: np.ndarray, sign: float) -> np.ndarray:
+    """out[A] = sum over B subset of A of sign^|A - B| values[B] (sign * x
+    is exact, so -1 subtracts bit for bit)."""
     out = values.astype(float).copy()
     n = int(math.log2(len(out)))
     masks = np.arange(len(out))
     for i in range(n):
         has = (masks >> i & 1) == 1
-        out[has] -= out[masks[has] ^ (1 << i)]
+        out[has] += sign * out[masks[has] ^ (1 << i)]
     return out
 
 
@@ -427,10 +412,12 @@ def _set_equals_core(S: CredalSet, bel: np.ndarray, is_belief: bool) -> bool | N
     core vertex in conv(S) is a vertex of conv(S)): ``_chains_all_tight``
     walks the marginal vectors of a belief-function Bel; otherwise brute-force
     enumeration stops at the first vertex not within 10 * TAU_LP (sup norm)
-    of a point, up to 5 atoms and undecided (None) above. One family branch
-    whose atom polynomials on the event have rank <= 2 is a segment, decided
-    so on its two ends; rank > 2 spans a plane with a curve, never convex.
-    Several branches are reported False, missing a union that is convex.
+    of a point, up to 5 atoms and undecided (None) above. A family's members
+    lie on one line iff the atom polynomials of its branches on the event
+    (the one member of a point branch) span rank <= 2; more spans a plane
+    with finitely many curves, never convex. On a line each branch is a
+    segment, and their union is convex iff, sorted along the line, they
+    chain within 10 * TAU_LP; it is then decided on its two ends.
     """
     n = S.space.size
 
@@ -441,15 +428,23 @@ def _set_equals_core(S: CredalSet, bel: np.ndarray, is_belief: bool) -> bool | N
         return not np.any((sign >= 0) & (highs > b + TAU_LP) | (sign <= 0) & (lows < b - TAU_LP))
 
     if isinstance(S, ParametricFamily):
-        b, ev = S.branches[0], S.conditioning
-        polys = b.atom_forms[0] if ev is None else b.atom_forms[0][list(ev.indices)]
-        if len(S.branches) > 1 or b.lo != b.hi and np.linalg.matrix_rank(polys) > 2:
+        idx = slice(None) if S.conditioning is None else list(S.conditioning.indices)
+        found = [S.critical_members(bi)[1] for bi in range(len(S.branches))]
+        spans = [M.T if b.lo == b.hi else b.atom_forms[0] for b, M in zip(S.branches, found)]
+        if np.linalg.matrix_rank(np.hstack([span[idx] for span in spans])) > 2:
             return False
-        # members on one line (conditioned or not): a segment, the hull of
-        # its two ends along the line
-        M = S.critical_members(0)[1]
-        _, lo, _, hi = S.extremes(M[np.abs(M - M[0]).max(axis=1).argmax()] - M[0])
-        V = np.stack([lo.probs, hi.probs])
+        # members on one line (conditioned or not): each branch a segment
+        # between its two ends along the line, taken in order of lower end
+        M = np.concatenate(found)
+        u = M[np.abs(M - M[0]).max(axis=1).argmax()] - M[0]
+        ends = [S.critical_members(bi, ratios=u[None, :])[1] for bi in range(len(S.branches))]
+        ends = sorted((C[[np.argmin(C @ u), np.argmax(C @ u)]] for C in ends if len(C)), key=lambda E: E[0] @ u)
+        V = ends[0]
+        for E in ends[1:]:
+            if (E[0] - V[1]) @ u > 0 and np.abs(E[0] - V[1]).max() > 10 * TAU_LP:
+                return False  # a gap: not convex
+            if E[1] @ u > V[1] @ u:
+                V = np.stack([V[0], E[1]])
     else:
         V = np.stack([v.probs for v in S.vertices])
     if is_belief:

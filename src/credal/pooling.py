@@ -17,11 +17,7 @@ import numpy as np
 
 from .distributions import Distribution, make_distribution, marginalize, mixture
 from .errors import NotFactorizedError, PreconditionUnmetError, SpaceMismatchError
-from .inference import (
-    IndependenceReport,
-    check_conditional_independence,
-    check_pairwise_independence,
-)
+from .inference import IndependenceReport, _independence
 from .spaces import OutcomeSpace, Variable, product_space
 from .tolerances import TAU_NORM
 
@@ -102,17 +98,10 @@ def independence_preserved(
     """Does the pool keep an independence judgment every expert makes?
 
     Each expert must individually pass the same check at tol; offenders
-    are named in the PreconditionUnmetError otherwise.
+    are named in the PreconditionUnmetError otherwise. With no ``given``
+    the check is pairwise: conditional on one value, the whole space.
     """
-    if not prob.space.is_factorized:
-        raise NotFactorizedError("independence checks need a factorized space")
-
-    def run(d: Distribution) -> IndependenceReport:
-        if given is None:
-            return check_pairwise_independence(d, x, z, tol)
-        return check_conditional_independence(d, x, z, given, tol)
-
-    offenders = [name for name, d in prob.experts if not run(d).passed]
+    offenders = [name for name, d in prob.experts if not _independence(d, x, z, given, tol).passed]
     if offenders:
         err = PreconditionUnmetError(
             f"experts do not satisfy the independence premise: {', '.join(offenders)}"
@@ -120,7 +109,7 @@ def independence_preserved(
         err.offenders = tuple(offenders)
         raise err
     pooled = linear_pool(prob)
-    return PooledIndependenceReport(pooled, run(pooled))
+    return PooledIndependenceReport(pooled, _independence(pooled, x, z, given, tol))
 
 
 def total_variation(a: Distribution, b: Distribution) -> float:

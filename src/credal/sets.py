@@ -40,6 +40,7 @@ from .distributions import (
     DIE_BRANCHES,
     DIE_EPS_DOMAIN,
     Distribution,
+    _bayes_rows,
     coin_atom_polys,
     die_atom_polys,
     die_bias,
@@ -377,12 +378,8 @@ class ParametricFamily:
         M = _atoms_at(self.branches[branch_index].atom_forms, s)
         if self.conditioning is None:
             return s, M
-        idx = list(self.conditioning.indices)
-        pe = M[:, idx].sum(axis=1)
-        keep = pe > TAU_ZERO
-        out = np.zeros_like(M[keep])
-        out[:, idx] = M[keep][:, idx] / pe[keep][:, None]
-        return s[keep], out
+        keep, M = _bayes_rows(M, self.conditioning)
+        return s[keep], M
 
     def contains(self, d: Distribution, tol: float = 1e-9) -> bool:
         """Whether some branch point coincides with d within sup-norm tol."""

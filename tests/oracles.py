@@ -8,13 +8,16 @@ former LP-based answers (a permutation walk with one hull program per
 marginal vector, one hull program per enumerated core vertex, and one
 program per constraint over the core) to check the chain walk, the
 point-matching vertex rule and the stacked ``ranges`` call that replaced
-them.
+them. So does the per-vertex conditioning loop, kept to check the stacked
+Bayes rule on vertex sets.
 """
 
 import itertools
 
 import numpy as np
 
+from credal.distributions import condition_distribution
+from credal.errors import ZeroEvidenceError, ZeroEvidenceEverywhereError
 from credal.inference import core_of_belief
 from credal.linprog import hull_membership
 from credal.sets import _member_from_witness
@@ -244,3 +247,22 @@ def grid_distance(fam, d):
     for rows in family_grid(fam):
         best = min(best, float(np.abs(rows - d).max(axis=1).min()))
     return best
+
+
+def conditionalize_by_vertex(S, e):
+    """The vertex set conditioned one vertex at a time: Bayes' rule on
+    each, zero-evidence vertices dropped and counted, a vertex kept unless
+    it is within 1e-12 of one already kept."""
+    kept = []
+    dropped = 0
+    for v in S.vertices:
+        try:
+            c = condition_distribution(v, e)
+        except ZeroEvidenceError:
+            dropped += 1
+            continue
+        if not any(c.allclose(u) for u in kept):
+            kept.append(c)
+    if not kept:
+        raise ZeroEvidenceEverywhereError("every member assigns the event probability <= TAU_ZERO")
+    return kept, dropped

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    conditionalize_by_vertex,
     linear_system_equals_core,
     marginal_vectors,
     vertex_set_equals_core,
@@ -17,6 +18,7 @@ from credal import (
     Event,
     LinearSystem,
     MassFunction,
+    Variable,
     VertexSet,
     belief_from_mass,
     check_conditional_independence,
@@ -35,6 +37,7 @@ from credal import (
     make_distribution,
     mixture,
     mobius_report,
+    product_space,
     simple_space,
 )
 from credal.errors import (
@@ -175,6 +178,65 @@ def test_conditionalize_drops_zero_evidence_vertices(two_tosses):
         conditionalize(VertexSet((a,)), e)
 
 
+def test_conditionalize_refuses_an_event_over_another_space(two_tosses):
+    """Every representation, including a constraint system on a space of
+    the same size, which used to condition on the foreign event's atoms."""
+    S = bounds_system(4, 0.15, 0.40)
+    e = Event.of(two_tosses, "HH", "HT")
+    for credal in (S, VertexSet((make_distribution(S.space, [0.25] * 4),))):
+        with pytest.raises(SpaceMismatchError):
+            conditionalize(credal, e)
+    with pytest.raises(SpaceMismatchError):
+        conditionalize(coin_family(0.1, 0.5), Event.of(S.space, "w1"))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_conditionalize_vertex_set_matches_the_per_vertex_loop(seed):
+    """The stacked Bayes rule against conditioning one vertex at a time:
+    the same bytes, order and dropped count, or the same refusal. Points
+    repeat, carry no evidence, or share their conditional with another
+    point while differing off the event (a near-duplicate after rounding);
+    some draws have no evidence anywhere."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    sp = simple_space(*(f"a{i}" for i in range(n)))
+    inside = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+    e = Event.from_indices(sp, inside.tolist())
+    outside = np.setdiff1d(np.arange(n), inside)
+    no_evidence = rng.random() < 0.15
+    points: list[np.ndarray] = []
+    for _ in range(int(rng.integers(1, 7))):
+        kind = 1 if no_evidence else int(rng.integers(4))
+        p = np.zeros(n)
+        if kind == 0 and points:
+            p = points[int(rng.integers(len(points)))]
+        elif kind == 1:
+            p[outside] = rng.dirichlet(np.ones(len(outside)))
+        elif kind == 2 and points and points[-1][inside].sum() > 0:
+            mass = rng.uniform(0.05, 1.0)
+            p[inside] = mass * points[-1][inside] / points[-1][inside].sum()
+            p[outside] = (1.0 - mass) * rng.dirichlet(np.ones(len(outside)))
+        else:
+            p = rng.dirichlet(np.ones(n)) * (rng.random(n) > 0.3)
+            p = p / p.sum() if p.sum() > 0 else np.eye(n)[0]
+        points.append(p)
+    S = VertexSet(tuple(make_distribution(sp, p) for p in points))
+
+    def outcome(run):
+        try:
+            kept, dropped = run()
+        except ZeroEvidenceEverywhereError as err:
+            return str(err)
+        return [v.probs.tobytes() for v in kept], dropped
+
+    def stacked():
+        out = conditionalize(S, e)
+        return out.vertices, out.dropped
+
+    assert outcome(stacked) == outcome(lambda: conditionalize_by_vertex(S, e))
+
+
 def test_conditionalize_linear_system_gives_conditional_box():
     S = bounds_system(4, 0.15, 0.40)
     e = Event.of(S.space, "w1", "w2")
@@ -310,6 +372,49 @@ def test_pairwise_independence_cases(two_tosses):
     assert check_pairwise_independence(independent_square(0.09), "toss1", "toss2", tol=1e-9).passed
 
 
+def test_pairwise_independence_of_an_undersummed_table(two_tosses):
+    """A verbatim table that undersums is judged as its normalized copy:
+    the check does not depend on the table's scale."""
+    d = make_distribution(two_tosses, 0.98 * iid_coin(0.3, 2).probs, require_normalized=False)
+    rep = check_pairwise_independence(d, "toss1", "toss2", tol=1e-9)
+    assert rep.passed
+    assert rep.max_violation <= 1e-15
+
+
+@given(
+    nx=st.integers(2, 3),
+    nz=st.integers(2, 4),
+    mixed=st.booleans(),
+    scale=st.one_of(st.just(1.0), st.floats(0.5, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_pairwise_independence_is_the_check_given_one_value(nx, nz, mixed, scale, seed):
+    """On a table over (X, Z), independent or a mix of two independent
+    ones, normalized or scaled by c in [0.5, 1], the pairwise report is
+    the conditional report on the same table with a one-value Y between
+    X and Z, and its violation is max |t total - t(x) t(z)|."""
+    rng = np.random.default_rng(seed)
+
+    def product():
+        return np.outer(rng.dirichlet(np.ones(nx)), rng.dirichlet(np.ones(nz)))
+
+    t = scale * (0.5 * product() + 0.5 * product() if mixed else product())
+    X = Variable("X", tuple(f"x{i}" for i in range(nx)))
+    Z = Variable("Z", tuple(f"z{k}" for k in range(nz)))
+    pair = make_distribution(product_space(X, Z), t.ravel(), require_normalized=False)
+    triple = make_distribution(
+        product_space(X, Variable("Y", ("all",)), Z), t.ravel(), require_normalized=False
+    )
+    rp = check_pairwise_independence(pair, "X", "Z")
+    rc = check_conditional_independence(triple, "X", "Z", "Y")
+    fields = ("passed", "max_violation", "actual", "product_value")
+    assert [getattr(rp, f) for f in fields] == [getattr(rc, f) for f in fields]
+    assert rp.worst_cell == (rc.worst_cell[0], rc.worst_cell[2])
+    t = pair.probs.reshape(nx, nz)
+    assert rp.max_violation == np.abs(t * t.sum() - np.outer(t.sum(axis=1), t.sum(axis=0))).max()
+
+
 # --- belief functions ----------------------------------------------------
 
 
@@ -432,6 +537,26 @@ def test_segment_families_are_their_core():
     curve = ParametricFamily(two.branches, Event.of(two.space, "HH", "HT", "TH"))
     assert mobius_report(curve).set_equals_core is False
     assert mobius_report(coin_family(0.3, 0.3, 2)).set_equals_core is True
+
+
+def test_family_of_several_branches_is_its_core_iff_one_segment():
+    """Branches whose members lie on one line are segments along it; their
+    union equals its core iff the segments chain with no gap."""
+    from credal import ParametricFamily, die_family
+
+    def union(*ranges, n=1, given=None):
+        fam = ParametricFamily(sum((coin_family(a, b, n).branches for a, b in ranges), ()))
+        return fam if given is None else ParametricFamily(fam.branches, Event.of(fam.space, *given))
+
+    assert mobius_report(union((0.1, 0.3), (0.3, 0.5))).set_equals_core is True  # touching
+    assert mobius_report(union((0.1, 0.5), (0.2, 0.3))).set_equals_core is True  # nested
+    assert mobius_report(union((0.3, 0.5), (0.1, 0.3), (0.3, 0.3))).set_equals_core is True
+    assert mobius_report(union((0.1, 0.2), (0.3, 0.5))).set_equals_core is False  # a gap
+    assert mobius_report(die_family()).set_equals_core is False  # collinear but disjoint
+    assert mobius_report(union((0.1, 0.3), (0.3, 0.5), n=2)).set_equals_core is False
+    quadratic = ("HH", "TT")
+    assert mobius_report(union((0.1, 0.3), (0.3, 0.5), n=2, given=quadratic)).set_equals_core is True
+    assert mobius_report(union((0.1, 0.2), (0.3, 0.5), n=2, given=quadratic)).set_equals_core is False
 
 
 def test_mobius_report_star_vs_family():

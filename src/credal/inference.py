@@ -410,8 +410,8 @@ def _set_equals_core(S: CredalSet, bel: np.ndarray, is_belief: bool) -> bool | N
     ``ranges`` call over the core gives the worst case of each constraint.
     A VertexSet equals it iff every vertex of the core is a point of S (a
     core vertex in conv(S) is a vertex of conv(S)): ``_chains_all_tight``
-    walks the marginal vectors of a belief-function Bel; otherwise brute-force
-    enumeration stops at the first vertex not within 10 * TAU_LP (sup norm)
+    walks the marginal vectors of a 2-monotone Bel; otherwise double
+    description lists the core's vertices, each within 10 * TAU_LP (sup norm)
     of a point, up to 5 atoms and undecided (None) above. A family's members
     lie on one line iff the atom polynomials of its branches on the event
     (the one member of a point branch) span rank <= 2; more spans a plane
@@ -447,17 +447,24 @@ def _set_equals_core(S: CredalSet, bel: np.ndarray, is_belief: bool) -> bool | N
                 V = np.stack([V[0], E[1]])
     else:
         V = np.stack([v.probs for v in S.vertices])
-    if is_belief:
+    if is_belief or _two_monotone(bel, n):
         return _chains_all_tight(V, bel)
     if n > 5:
         return None
-    vertices = enumerate_polytope_vertices(*_core_rows(n, bel))
-    return all(np.abs(V - x).max(axis=1).min() <= 10 * TAU_LP for x in vertices)
+    X = enumerate_polytope_vertices(*_core_rows(n, bel))
+    return bool(np.all(np.abs(X[:, None] - V).max(axis=2).min(axis=1) <= 10 * TAU_LP))
+
+
+def _two_monotone(bel: np.ndarray, n: int) -> bool:
+    """Supermodularity to TAU_LP: no gain Bel(A+i) - Bel(A) falls as a j outside A joins A."""
+    A = np.arange(len(bel))
+    gains = (bel[A | 1 << i] - bel[A] for i in range(n))
+    return all(np.all(g[A | 1 << j] >= g - TAU_LP) for i, g in enumerate(gains) for j in range(i))
 
 
 def _chains_all_tight(V: np.ndarray, bel: np.ndarray) -> bool:
     """Whether conv(V) (points as rows) holds every marginal vector m_pi of
-    the belief function Bel, i.e. equals its core (Shapley 1971). A convex
+    the 2-monotone Bel, i.e. equals its core (Shapley 1971). A convex
     combination of points attaining Bel on every set of pi's chain uses
     only points that do, and such a point is m_pi; so a depth-first walk
     over states (A, bitmask of the points tight on every set of the chain

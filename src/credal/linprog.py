@@ -32,9 +32,7 @@ and the library itself no longer calls it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -43,9 +41,6 @@ from .errors import InfeasibleSystemError, NumericalFailureError, SpaceMismatchE
 from .tolerances import TAU_LP, TAU_ZERO
 
 RELATIONS = ("<=", "=", ">=")
-
-# the most plane choices enumerate_polytope_vertices tries
-MAX_VERTEX_COMBINATIONS = 2_000_000
 
 # Entries smaller than this are unusable as pivots.
 PIVOT_TOL = 1e-10
@@ -420,34 +415,32 @@ def prepare_fractional(rows, denominator: np.ndarray) -> PreparedLp:
     return PreparedLp(A, np.append(np.zeros(len(b)), 1.0), np.append(sign, 0.0))
 
 
-def enumerate_polytope_vertices(A: np.ndarray, b: np.ndarray, sign: np.ndarray):
-    """Brute-force vertex enumeration of {x >= 0, A @ x (<=, =, >=) b}.
-
-    Tries every choice of n_vars tight hyperplanes among the rows and the
-    coordinate planes, yielding each feasible solution as it is found; a
-    degenerate vertex repeats, once per choice that meets it. Only
-    intended for small systems (MAX_VERTEX_COMBINATIONS guards it).
+def enumerate_polytope_vertices(A: np.ndarray, b: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The distinct vertices of {x >= 0, A @ x (<=, =, >=) b} as a (k, n)
+    array, by double description (Motzkin et al. 1953; Fukuda & Prodon 1996)
+    on the cone of (x, t) >= 0 with h @ (x, t) >= 0 for each row's cut
+    h = +-(a, -b) scaled to max |entry| 1 (an = row is two cuts, made first).
+    From the orthant's unit rays, each cut keeps the rays on its nonnegative
+    side and joins each adjacent (+, -) pair into their edge's ray on the cut:
+    adjacent iff they share n - 1 tight planes (|h @ ray| <= TAU_LP) and no
+    third ray is tight on them all. The rays with t > TAU_LP, at t = 1, are
+    the vertices (t = 0: directions), each meeting the rows to TAU_LP.
     """
-    n_vars = A.shape[1]
-    planes = np.vstack([A, np.eye(n_vars)])  # the rows, then the coordinate planes
-    plane_rhs = np.concatenate([b, np.zeros(n_vars)])
-    equality = np.concatenate([sign == 0, np.zeros(n_vars, dtype=bool)])
-    forced = list(np.flatnonzero(equality))
-    optional = np.flatnonzero(~equality)
-    need = max(0, n_vars - len(forced))
-    if comb(len(optional), need) > MAX_VERTEX_COMBINATIONS:
-        raise NumericalFailureError("vertex enumeration would be too large")
-    for extra in itertools.combinations(optional, need):
-        chosen = forced + list(extra)
-        if len(chosen) != n_vars:
-            continue
-        try:
-            x = np.linalg.solve(planes[chosen], plane_rhs[chosen])
-        except np.linalg.LinAlgError:
-            continue
-        if (
-            np.all(np.isfinite(x))
-            and np.all(x >= -TAU_LP)
-            and np.all(_violation((A, b, sign), x) <= TAU_LP)
-        ):
-            yield x
+    n = A.shape[1]
+    H = np.column_stack([A, -b])
+    H = np.vstack([H[sign == 0], -H[sign == 0], -sign[sign != 0, None] * H[sign != 0]])
+    R, T = np.eye(n + 1), ~np.eye(n + 1, dtype=bool)  # rays as rows; T[r, k]: r is tight on plane k
+    for h in H / np.abs(H).max(axis=1, initial=np.finfo(float).tiny)[:, None]:
+        s = R @ h
+        P, N = np.flatnonzero(s > TAU_LP), np.flatnonzero(s < -TAU_LP)
+        p, q = np.nonzero(T[P].astype(float) @ T[N].T >= n - 1)
+        p, q = P[p], N[q]
+        shared = T[p] & T[q]
+        adjacent = (shared.astype(float) @ ~T.T == 0).sum(axis=1) == 2  # only p and q are tight there
+        p, q, shared = p[adjacent], q[adjacent], shared[adjacent]
+        new, keep = s[p, None] * R[q] - s[q, None] * R[p], s >= -TAU_LP
+        R = np.vstack([R[keep], new / np.abs(new).max(axis=1, keepdims=True)])
+        T = np.vstack([np.column_stack([T, s <= TAU_LP])[keep], np.column_stack([shared, np.ones(len(p), bool)])])
+    X = R[R[:, n] > TAU_LP]
+    X = X[:, :n] / X[:, n:]
+    return X[np.all(X >= -TAU_LP, axis=1) & np.all(_violation((A, b, sign), X) <= TAU_LP, axis=1)]

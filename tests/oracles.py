@@ -37,8 +37,11 @@ def feasible(rows, x, tol=1e-9):
 
 def vertices_of(n, rows):
     """All vertices of {x >= 0} intersected with the constraint rows: one
-    batched solve over every choice of n planes with a nonzero determinant
-    (exactly those ``numpy.linalg.solve`` would not refuse)."""
+    batched solve over every choice of n planes whose determinant is not
+    below 1e-12 of the product of the planes' norms (its Hadamard bound).
+    A nonzero determinant is not enough: a repeated row, or a choice
+    singular up to rounding, solves to a point on an edge (or 1e17 along
+    a ray) that passes the feasibility check."""
     planes = [(np.asarray(c.coeffs), c.rhs, c.relation == "=") for c in rows]
     for j in range(n):
         e = np.zeros(n)
@@ -49,7 +52,7 @@ def vertices_of(n, rows):
     chosen = np.array([eq + list(extra) for extra in itertools.combinations(rest, n - len(eq))])
     A = np.stack([p[0] for p in planes])[chosen]
     b = np.array([p[1] for p in planes], dtype=float)[chosen]
-    regular = np.linalg.det(A) != 0
+    regular = np.abs(np.linalg.det(A)) > 1e-12 * np.linalg.norm(A, axis=2).prod(axis=1)
     X = np.linalg.solve(A[regular], b[regular][..., None])[..., 0]
     return [x for x in X[~np.any(X < -1e-9, axis=1)] if feasible(rows, x)]
 
@@ -106,16 +109,32 @@ def vertex_set_equals_core(S, bel):
     return True
 
 
+def core_vertices(space, bel):
+    """The distinct vertices of the core of bel, from ``vertices_of``."""
+    found = []
+    for v in vertices_of(space.size, core_of_belief(space, bel).full_constraints()):
+        if not any(np.all(np.abs(v - u) <= 1e-9) for u in found):
+            found.append(v)
+    return found
+
+
 def vertex_set_equals_core_by_hulls(S, bel):
     """Whether conv(S) equals the core of bel, for any set function bel:
     every vertex of the core's rows passes the hull-membership program."""
-    found = []
-    for v in vertices_of(S.space.size, core_of_belief(S.space, bel).full_constraints()):
-        if not any(np.all(np.abs(v - u) <= 1e-9) for u in found):
-            found.append(v)
     return all(
-        hull_membership(_member_from_witness(S.space, v), list(S.vertices)).inside for v in found
+        hull_membership(_member_from_witness(S.space, v), list(S.vertices)).inside
+        for v in core_vertices(S.space, bel)
     )
+
+
+def is_two_monotone(bel, n, tol=1e-8):
+    """Bel(A + i + j) + Bel(A) >= Bel(A + i) + Bel(A + j) - tol for every
+    set A and every pair i < j outside it, one comparison at a time."""
+    for A in range(2**n):
+        for i, j in itertools.combinations([k for k in range(n) if not A >> k & 1], 2):
+            if bel[A | 1 << i | 1 << j] + bel[A] < bel[A | 1 << i] + bel[A | 1 << j] - tol:
+                return False
+    return True
 
 
 def linear_system_equals_core(S, bel, tol=1e-8):

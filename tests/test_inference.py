@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     conditionalize_by_vertex,
+    core_vertices,
+    is_two_monotone,
     linear_system_equals_core,
     marginal_vectors,
     vertex_set_equals_core,
@@ -899,6 +901,68 @@ def test_non_belief_vertex_set_core_check_builds_only_the_core(monkeypatch):
         # the core's vertices come from its rows: no program at all, let
         # alone a hull program per core vertex
         assert built == []
+
+
+def not_two_monotone_test_set(kind: str, seed: int) -> VertexSet | None:
+    """A VertexSet on 4 or 5 atoms whose envelope is not 2-monotone, so
+    not a belief function either, or None if the draw is. "cloud" is random
+    points; "core" is the vertices of their envelope's core, a set that
+    equals its core; "core-dropped" is those with one left out."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 6))
+    space = simple_space(*(f"w{j}" for j in range(n)))
+    points = list(rng.dirichlet(np.full(n, rng.choice([0.3, 1.0, 3.0])), size=int(rng.integers(2, 9))))
+    if kind != "cloud":
+        points = core_vertices(space, lower_envelope_function(VertexSet(
+            tuple(make_distribution(space, p) for p in points))).values)
+        if kind == "core-dropped":
+            points.pop(int(rng.integers(len(points))))
+    points = [np.clip(p, 0.0, None) for p in points]
+    S = VertexSet(tuple(make_distribution(space, p / p.sum()) for p in points))
+    return None if is_two_monotone(lower_envelope_function(S).values, n) else S
+
+
+@given(kind=st.sampled_from(("cloud", "core", "core-dropped")), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_core_check_by_double_description_matches_hull_programs(kind, seed):
+    """Envelopes that are not 2-monotone: the core's vertices come from
+    double description, checked against a hull program per vertex."""
+    S = not_two_monotone_test_set(kind, seed)
+    if S is None:
+        return  # 2-monotone: the chain walk decides
+    bel = lower_envelope_function(S).values
+    rep = mobius_report(S)
+    assert not rep.envelope_is_belief
+    assert rep.set_equals_core is vertex_set_equals_core_by_hulls(S, bel)
+    if kind == "core":
+        assert rep.set_equals_core is True
+
+
+def box_vertices(n: int, lo: float, hi: float) -> list:
+    """The vertices of the box [lo, hi]^n on the simplex: every atom but one
+    at a bound, the one left over between the bounds."""
+    found = []
+    for free in range(n):
+        for highs in itertools.product((False, True), repeat=n - 1):
+            v = np.where(np.insert(highs, free, False), hi, lo)
+            v[free] = 1.0 - (v.sum() - v[free])
+            if lo <= v[free] <= hi and not any(np.abs(v - u).max() <= 1e-12 for u in found):
+                found.append(v)
+    return found
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_box_vertex_sets_above_five_atoms_are_decided(n):
+    """The box [0.5/n, 1.6/n]^n has a 2-monotone envelope that is not a
+    belief function, on more atoms than the core's vertices are enumerated
+    for; the chain walk decides its vertex set, whole and with one dropped."""
+    space = simple_space(*(f"w{j}" for j in range(n)))
+    V = [make_distribution(space, v) for v in box_vertices(n, 0.5 / n, 1.6 / n)]
+    whole, dropped = mobius_report(VertexSet(tuple(V))), mobius_report(VertexSet(tuple(V[1:])))
+    assert not whole.envelope_is_belief and not dropped.envelope_is_belief
+    assert is_two_monotone(whole.bel.values, n)
+    assert whole.set_equals_core is True
+    assert dropped.set_equals_core is False
 
 
 @given(seed=st.integers(0, 2**32 - 1))

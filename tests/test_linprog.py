@@ -3,6 +3,8 @@ oracles.py, which never touches the solver."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credal import (
     Event,
@@ -10,6 +12,7 @@ from credal import (
     LinearProgram,
     LinearSystem,
     UtilityMatrix,
+    VertexSet,
     constraint,
     e_admissible,
     e_admissible_over_hull,
@@ -24,7 +27,7 @@ from credal import (
     solve,
 )
 from credal.errors import DenominatorVanishesError, InfeasibleSystemError, SpaceMismatchError
-from credal.inference import zeta_transform
+from credal.inference import core_of_belief, lower_envelope_function, zeta_transform
 from credal.linprog import Constraint, PreparedLp, _stack, enumerate_polytope_vertices
 
 
@@ -386,3 +389,87 @@ def test_hull_membership_of_a_vertex_against_the_others(seed, j):
     assert res.inside is False
     assert float(res.normal @ point.probs) > res.offset
     assert all(float(res.normal @ v.probs) <= res.offset + 1e-8 for v in rest)
+
+
+# --- vertex enumeration ------------------------------------------------------
+
+
+def assert_same_vertices(got, want):
+    """got is an array of distinct rows that match the oracle's distinct
+    vertices, one to one, to 1e-7."""
+    distinct = []
+    for v in np.array(want).reshape(-1, got.shape[1]):
+        if not any(np.abs(v - u).max() <= 1e-7 for u in distinct):
+            distinct.append(v)
+    assert got.shape == (len(distinct), got.shape[1])
+    for v in distinct:
+        assert np.abs(got - v).max(axis=1).min() <= 1e-7
+    for x in got:
+        assert np.abs(np.array(distinct) - x).max(axis=1).min() <= 1e-7
+    assert np.all(np.abs(got[:, None] - got).max(axis=2) + np.eye(len(got)) > 1e-7)
+
+
+def random_vertex_rows(seed: int):
+    """On 2 to 5 atoms, 1 to 5 random rows mixing <=, = and >=, each
+    through a random point x0, a third of them with no margin (tight at
+    x0, so vertices are degenerate), some inequalities repeated, half the
+    time with the simplex row. Without it the polyhedron may be unbounded;
+    a far-off row sometimes makes it empty. The oracle puts every = row in
+    each choice of n planes, so = rows are never repeated and at most
+    n - 1 besides the simplex row: dependent ones would leave it no
+    regular choice."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    x0 = rng.dirichlet(np.ones(n))
+    rows, equalities = [], 0
+    for _ in range(int(rng.integers(1, 6))):
+        a = rng.normal(size=n) * (rng.random(n) < 0.8)
+        rel = str(rng.choice(["<=", "=", ">="], p=[0.45, 0.1, 0.45]))
+        if not a.any() or rel == "=" and equalities == n - 1:
+            continue
+        equalities += rel == "="
+        margin = 0.0 if rel == "=" or rng.random() < 0.3 else rng.uniform(0.01, 0.4)
+        rows.append(constraint(a, rel, float(a @ x0) + (-margin if rel == ">=" else margin)))
+        if rel != "=" and rng.random() < 0.15:
+            rows.append(rows[-1])
+    if rng.random() < 0.1:
+        rows.append(constraint(np.ones(n), ">=", 2.0))
+    if rng.random() < 0.5:
+        rows.append(constraint(np.ones(n), "=", 1.0))
+    return n, rows
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_enumerated_vertices_match_the_oracle(seed):
+    n, rows = random_vertex_rows(seed)
+    assert_same_vertices(enumerate_polytope_vertices(*_stack(n, rows)), oracle_vertices(n, rows))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_enumerated_core_vertices_match_the_oracle(seed):
+    """The core of a random point set's envelope: up to 2^n - 2 rows, many
+    of them tight at each vertex."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 6))
+    sp = simple_space(*(f"w{j}" for j in range(n)))
+    points = rng.dirichlet(np.full(n, rng.choice([0.3, 1.0, 3.0])), size=int(rng.integers(1, 7)))
+    bel = lower_envelope_function(VertexSet(tuple(make_distribution(sp, p) for p in points))).values
+    rows = core_of_belief(sp, bel).full_constraints()
+    assert_same_vertices(enumerate_polytope_vertices(*_stack(n, rows)), oracle_vertices(n, rows))
+
+
+def test_enumeration_of_an_unbounded_system_returns_its_vertices_only():
+    # x + y >= 1 and x - y <= 0.5 over x, y >= 0: two vertices, two directions
+    rows = (constraint([1.0, 1.0], ">=", 1.0), constraint([1.0, -1.0], "<=", 0.5))
+    got = enumerate_polytope_vertices(*_stack(2, rows))
+    assert_same_vertices(got, [[0.0, 1.0], [0.75, 0.25]])
+    assert_same_vertices(got, oracle_vertices(2, rows))
+
+
+def test_enumeration_of_an_infeasible_system_is_empty():
+    rows = (constraint([1.0, 1.0, 1.0], "=", 1.0), constraint([1.0, 0.0, 0.0], ">=", 2.0))
+    got = enumerate_polytope_vertices(*_stack(3, rows))
+    assert got.shape == (0, 3)
+    assert oracle_vertices(3, rows) == []

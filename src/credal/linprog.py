@@ -16,12 +16,15 @@ each row and its rhs divided by the row's largest |coefficient|, so that
 the absolute pivot and phase-1 tolerances mean the same thing at every
 row scale; the reported phase-1 residual is in those units. ``optimize``
 runs phase 2 for one objective on a copy of the phase-1 tableau.
-``optimize_many`` runs it for a stack of objectives on one working copy,
-each from the optimal basis of the one before, which stays feasible
-because the rows do not change; a lower-envelope sweep over subsets in
-Gray-code order then takes under one pivot per LP on average. Every
-witness is checked against the rows as given, at 10 * TAU_LP, with a
-matrix product (one per block of witnesses in ``optimize_many``).
+``optimize_many`` serves a stack of objectives from one working copy,
+whose basis stays feasible because the rows do not change: at each basis
+one matrix product gives the reduced costs of a block of pending
+objectives, every objective whose reduced costs are all >= -TAU_LP is
+settled there, and phase 2 runs only for the first one left. A
+lower-envelope sweep over subsets in Gray-code order then runs phase 2
+for about one LP in ten on a 10-atom polytope. Every witness is checked
+against the rows as given, at 10 * TAU_LP, with a matrix product (one
+per block of distinct witnesses in ``optimize_many``).
 Pivoting is deterministic: the same program and objectives give the same
 answers. An infeasible program keeps the duals of its failed phase 1 as
 ``farkas``, a ray y with y @ A <= 0 < y @ b in the units of the rows as
@@ -45,8 +48,12 @@ RELATIONS = ("<=", "=", ">=")
 # Entries smaller than this are unusable as pivots.
 PIVOT_TOL = 1e-10
 
-# optimize_many checks this many witnesses per stacked product
-_CHECK_BLOCK = 1024
+# tableau entries per block of objectives in optimize_many: each basis
+# prices the block's pending rows in one product with the tableau, which
+# settles more of them per basis in a larger block and costs more per
+# product; at 2**17 (101 rows on a 14-atom box, whose bases settle few) a
+# 14-atom box sweep stays faster than one LP run per objective
+_CHECK_BLOCK = 2**17
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,9 +208,9 @@ class PreparedLp:
 
     Building one runs phase 1 on the rows equilibrated and drives
     artificials out. ``optimize`` then copies the feasible tableau
-    and runs phase 2 only; ``optimize_many`` runs phase 2 for a stack of
-    objectives on one working copy, each from the basis where the last one
-    ended. An infeasible program keeps its phase-1 residual and its Farkas
+    and runs phase 2 only; ``optimize_many`` serves a stack of objectives
+    on one working copy, pricing them all at each basis it visits. An
+    infeasible program keeps its phase-1 residual and its Farkas
     ray (``infeasibility``, ``farkas``). Instances are immutable after
     construction and safe to share.
     """
@@ -268,8 +275,10 @@ class PreparedLp:
         return self._tab.solution()[: self.n_vars]
 
     def _cost(self, objective, sense: str) -> np.ndarray:
-        cost = np.zeros(self._tab.T.shape[1] - 1)
-        cost[: self.n_vars] = objective if sense == "min" else -objective
+        """The cost to minimize over every tableau column, one row per row
+        of a stack of objectives."""
+        cost = np.zeros(objective.shape[:-1] + (self._tab.T.shape[1] - 1,))
+        cost[..., : self.n_vars] = objective if sense == "min" else -objective
         return cost
 
     def optimize(self, objective, sense: str) -> LpResult:
@@ -288,12 +297,15 @@ class PreparedLp:
         """The optimal value of each row of objective weights, in order
         (-inf or +inf where the program is unbounded in that direction).
 
-        One working tableau serves the whole call: each objective is
-        priced on the basis where the previous one ended, which the rows
-        of the program keep primal feasible, so each runs phase 2 only.
-        Objectives that differ little (as subsets in Gray-code order do)
-        then take few pivots. Witnesses are checked as in ``optimize``, a
-        block of them per stacked product.
+        One working tableau serves the call, its basis kept primal feasible
+        by the rows. Objectives go in blocks of ``_CHECK_BLOCK`` tableau
+        entries' worth of rows. At each basis one product prices the block's
+        pending objectives, and each whose reduced costs are all >= -TAU_LP
+        (``_run_simplex``'s stopping test) is settled with the basis solution
+        as its witness; phase 2 then runs for the first one left, in the
+        order given. Objectives that differ little (as subsets in Gray-code
+        order do) share bases, so most need no run. The block's witnesses
+        are checked as in ``optimize``, in one stacked product.
         """
         if self._tab is None:
             raise InfeasibleSystemError(
@@ -301,18 +313,37 @@ class PreparedLp:
             )
         rows = np.asarray(rows)
         tab = self._tab.copy()
-        values = np.empty(len(rows))
-        for start in range(0, len(rows), _CHECK_BLOCK):
-            block = rows[start : start + _CHECK_BLOCK].astype(float)
-            X = np.empty_like(block)
-            bounded = np.ones(len(block), dtype=bool)
-            for i, obj in enumerate(block):
-                tab.price(self._cost(obj, sense))
-                bounded[i] = _run_simplex(tab, self.bland_after, self.max_iter) == "OPTIMAL"
-                X[i] = tab.solution()[: self.n_vars]
-            out = values[start : start + len(block)]
-            out[bounded] = np.einsum("ij,ij->i", block[bounded], self._checked(X[bounded]))
-            out[~bounded] = -np.inf if sense == "min" else np.inf
+        n = self.n_vars
+        values = np.full(len(rows), -np.inf if sense == "min" else np.inf)
+        size = max(1, _CHECK_BLOCK // tab.T.size)
+        for start in range(0, len(rows), size):
+            block = rows[start : start + size].astype(float)
+            witnesses, owner = [], np.full(len(block), -1)
+            pending, solved = np.arange(len(block)), False
+            cost = self._cost(block, sense)  # a row per pending objective
+            while pending.size:
+                # c_B @ T - c, the reduced costs negated: the basis is optimal
+                # for an objective iff they are all <= TAU_LP
+                D = cost[:, tab.basis] @ tab.T[:-1, :-1] - cost
+                settled = (D <= TAU_LP).all(axis=1)
+                settled[0] |= solved  # by _run_simplex's own reduced-cost row
+                first = 0
+                if settled.any():
+                    owner[pending[settled]] = len(witnesses)
+                    witnesses.append(tab.solution()[:n])
+                    keep = ~settled
+                    pending, cost = pending[keep], cost[keep]
+                    if not pending.size:
+                        break
+                    first = keep.argmax()
+                tab.T[-1, :-1] = -D[first]  # priced for the first objective left
+                solved = _run_simplex(tab, self.bland_after, self.max_iter) == "OPTIMAL"
+                if not solved:  # unbounded: its value stays infinite
+                    pending, cost = pending[1:], cost[1:]
+            bounded = np.flatnonzero(owner >= 0)
+            if bounded.size:
+                X = self._checked(np.array(witnesses))[owner[bounded]]
+                values[start + bounded] = np.einsum("ij,ij->i", block[bounded], X)
         return values
 
     def scaled_violation(self, x: np.ndarray) -> np.ndarray:
@@ -433,6 +464,9 @@ def enumerate_polytope_vertices(A: np.ndarray, b: np.ndarray, sign: np.ndarray) 
     for h in H / np.abs(H).max(axis=1, initial=np.finfo(float).tiny)[:, None]:
         s = R @ h
         P, N = np.flatnonzero(s > TAU_LP), np.flatnonzero(s < -TAU_LP)
+        if not N.size:  # the cut removes no ray, so it adds none
+            T = np.column_stack([T, s <= TAU_LP])
+            continue
         p, q = np.nonzero(T[P].astype(float) @ T[N].T >= n - 1)
         p, q = P[p], N[q]
         shared = T[p] & T[q]

@@ -187,8 +187,8 @@ class LinearSystem:
 
     def ranges(self, rows: np.ndarray):
         """(lowest, highest) of row . p over the system for each row of
-        weights, as two arrays, from one warm-started chain of LPs per
-        sense (``PreparedLp.optimize_many``)."""
+        weights, as two arrays, from one batch-priced ``optimize_many``
+        call per sense."""
         prepared = self._prepared
         return prepared.optimize_many(rows, "min"), prepared.optimize_many(rows, "max")
 

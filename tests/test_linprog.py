@@ -1,6 +1,8 @@
 """LP kernel tests against the brute-force vertex-enumeration oracle in
 oracles.py, which never touches the solver."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from credal import (
     solve,
 )
 from credal.errors import DenominatorVanishesError, InfeasibleSystemError, SpaceMismatchError
+from credal import linprog
 from credal.inference import core_of_belief, lower_envelope_function, zeta_transform
 from credal.linprog import Constraint, PreparedLp, _stack, enumerate_polytope_vertices
 
@@ -101,6 +104,73 @@ def test_optimize_many_matches_optimize_and_marks_unbounded_rows():
             else:
                 assert got == pytest.approx(res.value, abs=1e-12)
     assert np.isinf(highs).sum() == np.isinf(lows).sum() == 3
+
+
+def batch_program(seed: int, kind: str):
+    """(n, rows) on 2 to 6 atoms. "polytope": the simplex cut by random <=
+    and >= rows through a random point x0, some tight there (degenerate).
+    "box": bounds x0 -+ w with the lower ones clipped to 0, some rows
+    repeated, and the simplex row. "open": random rows through x0 and no
+    simplex row, so some directions are unbounded."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    x0 = rng.dirichlet(np.ones(n))
+    if kind == "box":
+        w, rows = rng.uniform(0.0, 0.4, n), []
+        for j, e in enumerate(np.eye(n)):
+            rows.append(constraint(e, ">=", max(x0[j] - w[j], 0.0)))
+            rows.append(constraint(e, "<=", min(x0[j] + w[j], 1.0)))
+        rows += [rows[i] for i in rng.integers(0, len(rows), int(rng.integers(0, 4)))]
+    else:
+        rows = []
+        for _ in range(int(rng.integers(1, 5))):
+            a = rng.normal(size=n)
+            rel = str(rng.choice(["<=", ">="]))
+            margin = 0.0 if rng.random() < 0.3 else rng.uniform(0.01, 0.3)
+            rows.append(constraint(a, rel, float(a @ x0) + (margin if rel == "<=" else -margin)))
+    if kind != "open":
+        rows.append(constraint(np.ones(n), "=", 1.0))
+    return n, rows
+
+
+def batch_objectives(seed: int, n: int, gray: bool) -> np.ndarray:
+    """The indicators of the nonempty subsets in Gray-code order, as the
+    lower-envelope sweep stacks them, or 1 to 40 signed real rows, some of
+    them repeated."""
+    if gray:
+        masks = np.arange(1, 2**n)
+        masks ^= masks >> 1
+        return (masks[:, None] >> np.arange(n) & 1).astype(np.uint8)
+    rng = np.random.default_rng(seed + 1)
+    W = rng.normal(size=(int(rng.integers(1, 41)), n))
+    return W[np.sort(rng.integers(0, len(W), len(W) + int(rng.integers(0, 4))))]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["polytope", "box", "open"]),
+    gray=st.booleans(),
+    block=st.integers(3, 5),
+)
+@settings(max_examples=120, deadline=None)
+def test_optimize_many_matches_optimize_row_by_row(seed, kind, gray, block):
+    """Batch pricing settles at each basis every objective it already
+    solves; with blocks of 3 to 5 rows (``_CHECK_BLOCK`` counts tableau
+    entries) the pending sets cross blocks. Each
+    value matches a cold optimize of its row, to 1e-9, and the unbounded
+    rows are the same."""
+    n, rows = batch_program(seed, kind)
+    prepared = PreparedLp(*_stack(n, rows))
+    W = batch_objectives(seed, n, gray)
+    with mock.patch.object(linprog, "_CHECK_BLOCK", block * prepared._tab.T.size):
+        found = {sense: prepared.optimize_many(W, sense) for sense in ("min", "max")}
+    for sense, values in found.items():
+        for w, got in zip(W, values):
+            res = prepared.optimize(w, sense)
+            if res.status == "UNBOUNDED":
+                assert got == (-np.inf if sense == "min" else np.inf)
+            else:
+                assert got == pytest.approx(res.value, abs=1e-9)
 
 
 def test_optimize_many_refuses_an_infeasible_program():

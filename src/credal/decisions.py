@@ -23,7 +23,7 @@ from .errors import (
 # nothing here calls solve, but the benchmark's own test checks that its
 # tracer wraps the binding credal.decisions.solve, so it stays bound
 from .linprog import PreparedLp, solve  # noqa: F401
-from .sets import CredalSet, LinearSystem, ParametricFamily, VertexSet, _member_from_witness
+from .sets import CredalSet, LinearSystem, ParametricFamily, VertexSet, _clipped_renormalised
 from .spaces import OutcomeSpace
 from .tolerances import TAU_LP
 
@@ -181,8 +181,9 @@ def _lp_admissible(U: UtilityMatrix, rows, V: np.ndarray, tol: float) -> Admissi
     A = np.block([[A, np.zeros((len(A), 1))], [EU, -np.ones((len(EU), 1))]])
     prepared = PreparedLp(A, np.append(b, np.zeros(len(EU))), np.append(sign, np.ones(len(EU))))
     X = np.stack([prepared.optimize(np.append(eu, -1.0), "max").witness[:k] for eu in EU])
-    found = [_member_from_witness(U.space, p) for p in X @ V]
-    return _report(U, np.stack([p.probs for p in found]), found.__getitem__, tol)
+    P = _clipped_renormalised(X @ V)
+    found = [make_distribution(U.space, p) for p in P]
+    return _report(U, P, found.__getitem__, tol)
 
 
 @dataclass(frozen=True, eq=False)

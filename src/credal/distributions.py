@@ -89,14 +89,14 @@ def make_distribution(
     arr = np.asarray(probs, dtype=float)
     if arr.shape != (space.size,):
         raise ValueError(f"expected {space.size} probabilities, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    least, largest = float(arr.min()), float(arr.max())  # non-finite if any entry is
+    if not (math.isfinite(least) and math.isfinite(largest)):
         raise ValueError("probabilities must be finite")
-    if np.any(arr < -TAU_NORM):
-        worst = float(arr.min())
-        raise NegativeMassError(f"negative probability {worst}")
-    if np.any(arr > 1.0 + TAU_NORM):
-        raise NotNormalizedError(f"probability above 1: {float(arr.max())}")
-    total = float(arr.sum())
+    if least < -TAU_NORM:
+        raise NegativeMassError(f"negative probability {least}")
+    if largest > 1.0 + TAU_NORM:
+        raise NotNormalizedError(f"probability above 1: {largest}")
+    total = float(arr.sum())  # after the checks: no overflow on 1e308 entries
     normalized = abs(total - 1.0) <= TAU_NORM
     if require_normalized and not normalized:
         raise NotNormalizedError(f"probabilities sum to {total}, expected 1")

@@ -23,8 +23,8 @@ objectives, every objective whose reduced costs are all >= -TAU_LP is
 settled there, and phase 2 runs only for the first one left. A
 lower-envelope sweep over subsets in Gray-code order then runs phase 2
 for about one LP in ten on a 10-atom polytope. Every witness is checked
-against the rows as given, at 10 * TAU_LP, with a matrix product (one
-per block of distinct witnesses in ``optimize_many``).
+at 10 * TAU_LP with one product against the rows as a <= stack (an =
+row as a and -a), once per block of distinct witnesses in optimize_many.
 Pivoting is deterministic: the same program and objectives give the same
 answers. An infeasible program keeps the duals of its failed phase 1 as
 ``farkas``, a ray y with y @ A <= 0 < y @ b in the units of the rows as
@@ -139,7 +139,7 @@ class _Tableau:
         T[row] /= T[row, col]
         factors = T[:, col].copy()
         factors[row] = 0.0
-        T -= np.outer(factors, T[row])
+        T -= factors[:, None] * T[row]
         self.basis[row] = col
 
 
@@ -149,25 +149,24 @@ def _run_simplex(tab: _Tableau, bland_after: int, max_iter: int) -> str:
     an unbounded run stops before pivoting, so the basis stays feasible."""
     T = tab.T
     m = T.shape[0] - 1
+    unbounded = np.full(m, np.inf)  # the ratio of a row that bounds no step
     for it in range(max_iter):
         z = T[-1, :-1]
-        candidates = (z < -TAU_LP).nonzero()[0]
-        if candidates.size == 0:
+        # Dantzig: the most negative reduced cost; Bland: the first below -TAU_LP
+        enter = z.argmin() if it < bland_after else (z < -TAU_LP).argmax()
+        if not z[enter] < -TAU_LP:
             return "OPTIMAL"
-        if it < bland_after:
-            enter = candidates[z[candidates].argmin()]
-        else:
-            enter = candidates[0]  # Bland: smallest index
         col = T[:m, enter]
-        rows = (col > PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:
+        ratios = np.divide(T[:m, -1], col, out=unbounded.copy(), where=col > PIVOT_TOL)
+        least = ratios.min(initial=np.inf)
+        if least == np.inf:
             return "UNBOUNDED"
-        ratios = T[rows, -1] / col[rows]
-        tied = rows[ratios <= ratios.min() + TAU_ZERO]
+        tied = ratios <= least + TAU_ZERO
         if it < bland_after:
             # the largest pivot among ties: a tiny one spreads rounding error
-            leave = tied[col[tied].argmax()]
+            leave = np.where(tied, col, -np.inf).argmax()
         else:
+            tied = tied.nonzero()[0]
             leave = tied[tab.basis[tied].argmin()]  # Bland: smallest basis index
         tab.pivot(leave, enter)
     raise NumericalFailureError(f"simplex exceeded {max_iter} iterations")
@@ -217,7 +216,11 @@ class PreparedLp:
 
     def __init__(self, A: np.ndarray, b: np.ndarray, sign: np.ndarray):
         self.n_vars = n = A.shape[1]
-        self._rows = A, b, sign  # as given, for witness checks
+        # the rows as one exact <= stack: as given with >= negated, then -a per = row
+        self._eq = sign == 0
+        side = np.where(self._eq, 1.0, sign)
+        self._G = np.vstack([side[:, None] * A, -A[self._eq]])
+        self._h = np.append(side * b, -b[self._eq])
         m = len(b)
         # equilibrate: each row (and its rhs) over its largest |coefficient|,
         # negated where that makes the rhs nonnegative
@@ -349,14 +352,16 @@ class PreparedLp:
     def scaled_violation(self, x: np.ndarray) -> np.ndarray:
         """By how much x breaks each row (<= 0 where it holds), in units of
         the row's largest |coefficient|."""
-        return _violation(self._rows, x) / self._largest
+        r = (x @ self._G.T - self._h)[..., : self._eq.size]
+        return np.where(self._eq, np.abs(r), r) / self._largest
 
     def _checked(self, x: np.ndarray) -> np.ndarray:
         """x, or a stack of witnesses, once each meets every row to
-        10 * TAU_LP and has no entry below -10 * TAU_LP."""
-        if not np.all(_violation(self._rows, x) <= 10 * TAU_LP):
+        10 * TAU_LP (one product with the rows as a <= stack) and has no
+        entry below -10 * TAU_LP; a NaN fails either test."""
+        if not (x @ self._G.T - self._h).max(initial=-np.inf) <= 10 * TAU_LP:
             raise NumericalFailureError("solver returned an infeasible witness")
-        if np.any(x < -10 * TAU_LP):
+        if not x.min(initial=np.inf) >= -10 * TAU_LP:
             raise NumericalFailureError("solver returned a negative witness entry")
         return x
 

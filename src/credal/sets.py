@@ -62,8 +62,8 @@ from .spaces import Event, OutcomeSpace, coin_space
 from .tolerances import TAU_LP, TAU_NORM, TAU_ZERO
 
 GRID_STEP = 1e-4
-# vertex values held at once by VertexSet.ranges
-_RANGE_BLOCK = 1 << 16
+# values held at once by VertexSet.ranges: a block's float rows and vertex values
+_RANGE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +131,7 @@ class VertexSet:
         rows = np.asarray(rows)
         V = np.stack([v.probs for v in self.vertices])
         lows, highs = np.empty(len(rows)), np.empty(len(rows))
-        step = max(1, _RANGE_BLOCK // len(V))
+        step = max(1, _RANGE_BLOCK // (len(V) + V.shape[1]))
         for start in range(0, len(rows), step):
             vals = rows[start : start + step] @ V.T
             lows[start : start + step] = vals.min(axis=1)
@@ -225,10 +225,16 @@ class LinearSystem:
         return out
 
 
+def _clipped_renormalised(W: np.ndarray) -> np.ndarray:
+    """An LP witness, or a stack of them by rows, clipped at 0 and renormalised."""
+    W = np.maximum(W, 0.0)
+    W /= W.sum(axis=-1, keepdims=True)
+    return W
+
+
 def _member_from_witness(space: OutcomeSpace, witness: np.ndarray) -> Distribution:
     """The distribution an LP witness stands for: clipped at 0, renormalised."""
-    w = np.clip(witness, 0.0, None)
-    return make_distribution(space, w / w.sum())
+    return make_distribution(space, _clipped_renormalised(witness))
 
 
 def interval_to_linear_system(iv: IntervalDistribution) -> LinearSystem:

@@ -9,7 +9,9 @@ marginal vector, one hull program per enumerated core vertex, and one
 program per constraint over the core) to check the chain walk, the
 point-matching vertex rule and the stacked ``ranges`` call that replaced
 them. So does the per-vertex conditioning loop, kept to check the stacked
-Bayes rule on vertex sets.
+Bayes rule on vertex sets. So does the simplex loop: ``run_simplex`` and
+``pivot`` are the kernel's former pivot step, kept to check that the
+leaner one takes the same pivots to a bit-identical tableau.
 """
 
 import itertools
@@ -17,10 +19,11 @@ import itertools
 import numpy as np
 
 from credal.distributions import condition_distribution
-from credal.errors import ZeroEvidenceError, ZeroEvidenceEverywhereError
+from credal.errors import NumericalFailureError, ZeroEvidenceError, ZeroEvidenceEverywhereError
 from credal.inference import core_of_belief
-from credal.linprog import hull_membership
+from credal.linprog import PIVOT_TOL, hull_membership
 from credal.sets import _member_from_witness
+from credal.tolerances import TAU_LP, TAU_ZERO
 
 
 def feasible(rows, x, tol=1e-9):
@@ -41,13 +44,19 @@ def vertices_of(n, rows):
     below 1e-12 of the product of the planes' norms (its Hadamard bound).
     A nonzero determinant is not enough: a repeated row, or a choice
     singular up to rounding, solves to a point on an edge (or 1e17 along
-    a ray) that passes the feasibility check."""
+    a ray) that passes the feasibility check. Every choice holds a
+    maximal linearly independent set of the = rows, picked by rank in
+    order; a dependent = row (repeated, proportional to another, all
+    zero) adds no plane, and the feasibility check still holds it."""
     planes = [(np.asarray(c.coeffs), c.rhs, c.relation == "=") for c in rows]
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
         planes.append((e, 0.0, False))
-    eq = [i for i, p in enumerate(planes) if p[2]]
+    eq = []
+    for i, p in enumerate(planes):
+        if p[2] and np.linalg.matrix_rank(np.stack([planes[j][0] for j in eq + [i]])) > len(eq):
+            eq.append(i)
     rest = [i for i, p in enumerate(planes) if not p[2]]
     chosen = np.array([eq + list(extra) for extra in itertools.combinations(rest, n - len(eq))])
     A = np.stack([p[0] for p in planes])[chosen]
@@ -55,6 +64,44 @@ def vertices_of(n, rows):
     regular = np.abs(np.linalg.det(A)) > 1e-12 * np.linalg.norm(A, axis=2).prod(axis=1)
     X = np.linalg.solve(A[regular], b[regular][..., None])[..., 0]
     return [x for x in X[~np.any(X < -1e-9, axis=1)] if feasible(rows, x)]
+
+
+def pivot(tab, row, col):
+    T = tab.T
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    tab.basis[row] = col
+
+
+def run_simplex(tab, bland_after, max_iter):
+    """Minimize the priced objective over the tableau in place: Dantzig's
+    rule with the largest pivot among ratio ties, then Bland's rule."""
+    T = tab.T
+    m = T.shape[0] - 1
+    for it in range(max_iter):
+        z = T[-1, :-1]
+        candidates = (z < -TAU_LP).nonzero()[0]
+        if candidates.size == 0:
+            return "OPTIMAL"
+        if it < bland_after:
+            enter = candidates[z[candidates].argmin()]
+        else:
+            enter = candidates[0]  # Bland: smallest index
+        col = T[:m, enter]
+        rows = (col > PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
+            return "UNBOUNDED"
+        ratios = T[rows, -1] / col[rows]
+        tied = rows[ratios <= ratios.min() + TAU_ZERO]
+        if it < bland_after:
+            # the largest pivot among ties: a tiny one spreads rounding error
+            leave = tied[col[tied].argmax()]
+        else:
+            leave = tied[tab.basis[tied].argmin()]  # Bland: smallest basis index
+        pivot(tab, leave, enter)
+    raise NumericalFailureError(f"simplex exceeded {max_iter} iterations")
 
 
 def interval_lower_envelopes(n, lo, hi):

@@ -27,6 +27,8 @@ from credal.errors import (
     ZeroEvidenceError,
 )
 
+from credal.tolerances import TAU_NORM
+
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
@@ -53,10 +55,43 @@ def test_negative_mass_rejected():
         make_distribution(sp, [1.2, -0.2])
 
 
-@pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, 0.0], [0.5, -np.inf]])
+@pytest.mark.parametrize(
+    "bad", [[np.nan, 1.0], [np.inf, 0.0], [0.5, -np.inf], [-0.5, np.nan], [np.inf, -np.inf]]
+)
 def test_non_finite_entries_rejected(bad):
+    """Before any other check: a NaN beside a negative entry is non-finite."""
     with pytest.raises(ValueError, match="probabilities must be finite"):
         make_distribution(simple_space("a", "b"), bad)
+
+
+@pytest.mark.parametrize(
+    "probs, error, message",
+    [
+        ([1.0 + 3e-9, -3e-9], NegativeMassError, "negative probability -3e-09"),
+        ([1.5, -0.5], NegativeMassError, "negative probability -0.5"),
+        ([1.25, 0.0], NotNormalizedError, "probability above 1: 1.25"),
+        ([1e308, 1e308], NotNormalizedError, "probability above 1: 1e+308"),
+        ([0.5, 0.25], NotNormalizedError, "probabilities sum to 0.75, expected 1"),
+    ],
+)
+def test_validation_class_message_and_order(probs, error, message):
+    """After the finiteness check: negative mass first, then an entry
+    above 1, then the sum, each with its own class and message."""
+    with pytest.raises(error) as raised:
+        make_distribution(simple_space("a", "b"), probs)
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_validation_tolerances():
+    """Entries within TAU_NORM below 0 or above 1 pass; an undersum passes
+    only with require_normalized=False, flagged."""
+    sp = simple_space("a", "b")
+    assert make_distribution(sp, [-TAU_NORM, 1.0 + TAU_NORM]).is_normalized
+    assert not make_distribution(sp, [0.5, 0.25], require_normalized=False).is_normalized
+    with pytest.raises(NegativeMassError):
+        make_distribution(sp, [-2 * TAU_NORM, 1.0])
+    with pytest.raises(NotNormalizedError, match="probability above 1"):
+        make_distribution(sp, [1.0 + 2 * TAU_NORM, 0.0], require_normalized=False)
 
 
 def test_unnormalized_escape_hatch():

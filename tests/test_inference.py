@@ -671,6 +671,28 @@ def test_lower_envelope_result_is_not_copied(monkeypatch):
     assert bel.values[2**n - 1] == 1.0 and bel.values[1] == pytest.approx(1.0 / n, abs=1e-15)
 
 
+def test_vertex_set_ranges_blocks_bound_their_float_copy():
+    """VertexSet.ranges sizes each block by its float copy of the uint8
+    indicators as well as by its values at the vertices: at n = 16 a
+    one-point set's ranges call peaks at most 2x the bytes of the
+    2^16-entry lower envelope, above what it was handed (the whole
+    indicator stack as one block made about 9.5x)."""
+    n = 16
+    space = simple_space(*(f"w{j}" for j in range(n)))
+    S = VertexSet((make_distribution(space, np.full(n, 1.0 / n)),))
+    masks = np.arange(1, 2 ** (n - 1))
+    indicators = (masks[:, None] >> np.arange(n) & 1).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        lows, highs = S.ranges(indicators)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 2 * 2**n * 8
+    assert lows == pytest.approx(indicators.sum(axis=1) / n) and np.array_equal(lows, highs)
+
+
 def random_polytope(seed: int) -> LinearSystem:
     """A system on 2 to 5 atoms whose 1 to 3 random rows hold at a random
     distribution with a margin."""

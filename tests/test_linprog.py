@@ -28,10 +28,13 @@ from credal import (
     simple_space,
     solve,
 )
-from credal.errors import DenominatorVanishesError, InfeasibleSystemError, SpaceMismatchError
+from credal.errors import (
+    DenominatorVanishesError, InfeasibleSystemError, NumericalFailureError, SpaceMismatchError,
+)
 from credal import linprog
 from credal.inference import core_of_belief, lower_envelope_function, zeta_transform
-from credal.linprog import Constraint, PreparedLp, _stack, enumerate_polytope_vertices
+from credal.linprog import Constraint, PreparedLp, _stack, _Tableau, enumerate_polytope_vertices
+from credal.tolerances import TAU_LP
 
 
 def bounds_constraints(n, lo, hi):
@@ -44,7 +47,7 @@ def bounds_constraints(n, lo, hi):
     return rows
 
 
-from oracles import marginal_vectors, vertices_of as oracle_vertices
+from oracles import marginal_vectors, run_simplex as reference_simplex, vertices_of as oracle_vertices
 
 
 def test_bound_system_max(die6=None):
@@ -461,6 +464,92 @@ def test_hull_membership_of_a_vertex_against_the_others(seed, j):
     assert all(float(res.normal @ v.probs) <= res.offset + 1e-8 for v in rest)
 
 
+# --- the pivot step and the witness check -----------------------------------
+
+
+def random_tableau(seed: int, m: int, k: int):
+    """A primal feasible tableau of m rows over m + k columns, its basis m
+    random unit columns. Entries are small integers half the time, so that
+    ratio tests tie; rhs entries are often 0 (degenerate); some columns
+    have no positive entry, so a run may stop UNBOUNDED."""
+    rng = np.random.default_rng(seed)
+    cols = m + k
+    basis = rng.permutation(cols)[:m]
+    if rng.random() < 0.5:
+        T = rng.integers(-2, 5, size=(m + 1, cols + 1)).astype(float)
+    else:
+        T = np.round(rng.normal(0.5, 1.0, size=(m + 1, cols + 1)), 2)
+    T[-1] *= -1.0  # mostly negative reduced costs, so that runs pivot
+    if m and rng.random() < 0.7:
+        T[0, :-1] = np.abs(T[0, :-1]) + 1.0  # a budget row bounds every column
+    T[:m, -1] = np.abs(T[:m, -1]) * (rng.random(m) < 0.6)
+    for j in np.flatnonzero(rng.random(cols) < 0.1):
+        T[:m, j] = -np.abs(T[:m, j])
+    T[:, basis] = 0.0
+    T[np.arange(m), basis] = 1.0
+    T[-1, -1] = 0.0
+    return _Tableau(T, basis)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(0, 6),
+    k=st.integers(1, 6),
+    bland_after=st.sampled_from([0, 1, 3, 50]),
+)
+@settings(max_examples=300, deadline=None)
+def test_pivot_step_matches_the_reference_loop(seed, m, k, bland_after):
+    """The kernel's pivot step and the former one (``oracles.run_simplex``)
+    end in the same status and basis with bit-identical tableaux, through
+    ratio ties, unbounded columns, programs without rows and Bland's rule
+    from the first pivot (bland_after = 0)."""
+    tab = random_tableau(seed, m, k)
+    ref = tab.copy()
+    outcome = []
+    for run, t in ((linprog._run_simplex, tab), (reference_simplex, ref)):
+        try:
+            outcome.append(run(t, bland_after, 200))
+        except NumericalFailureError:
+            outcome.append("ITERATIONS")
+    assert outcome[0] == outcome[1]
+    assert np.array_equal(tab.basis, ref.basis)
+    assert tab.T.tobytes() == ref.T.tobytes()
+
+
+HAIR = 1e-3 * TAU_LP
+
+
+@pytest.mark.parametrize("relation, broken", [("<=", [1]), ("=", [1, -1]), (">=", [-1])])
+def test_witness_check_holds_its_tolerance(relation, broken):
+    """x0 <= 0.5, = 0.5 or >= 0.5: a witness off the row on its wrong side
+    by just under 10 * TAU_LP passes, by just over it is refused, one
+    witness or a stack; so is an entry just above or below -10 * TAU_LP,
+    and a NaN anywhere."""
+    lp = PreparedLp(np.array([[1.0, 0.0]]), np.array([0.5]), np.array([linprog._SIGN[relation]]))
+    for side in broken:
+        inside = np.array([0.5 + side * (10 * TAU_LP - HAIR), 0.25])
+        outside = np.array([0.5 + side * (10 * TAU_LP + HAIR), 0.25])
+        assert lp._checked(inside) is inside
+        lp._checked(np.stack([inside, inside]))
+        for bad in (outside, np.stack([inside, outside])):
+            with pytest.raises(NumericalFailureError, match="infeasible witness"):
+                lp._checked(bad)
+    lp._checked(np.array([0.5, -(10 * TAU_LP - HAIR)]))
+    with pytest.raises(NumericalFailureError, match="negative witness entry"):
+        lp._checked(np.array([0.5, -(10 * TAU_LP + HAIR)]))
+    for nan in ([np.nan, 0.25], [0.5, np.nan]):  # 0 * NaN is NaN, so the row product fails
+        with pytest.raises(NumericalFailureError, match="infeasible witness"):
+            lp._checked(np.array(nan))
+
+
+def test_witness_check_without_rows_refuses_nan():
+    """With no row to fail, the entry check refuses a NaN."""
+    lp = PreparedLp(np.zeros((0, 2)), np.zeros(0), np.zeros(0))
+    assert lp.optimize(np.ones(2), "min").value == 0.0
+    with pytest.raises(NumericalFailureError, match="negative witness entry"):
+        lp._checked(np.array([np.nan, 0.0]))
+
+
 # --- vertex enumeration ------------------------------------------------------
 
 
@@ -482,28 +571,30 @@ def assert_same_vertices(got, want):
 def random_vertex_rows(seed: int):
     """On 2 to 5 atoms, 1 to 5 random rows mixing <=, = and >=, each
     through a random point x0, a third of them with no margin (tight at
-    x0, so vertices are degenerate), some inequalities repeated, half the
-    time with the simplex row. Without it the polyhedron may be unbounded;
-    a far-off row sometimes makes it empty. The oracle puts every = row in
-    each choice of n planes, so = rows are never repeated and at most
-    n - 1 besides the simplex row: dependent ones would leave it no
-    regular choice."""
+    x0, so vertices are degenerate), some repeated, half the time with the
+    simplex row. Without it the polyhedron may be unbounded; a far-off row
+    sometimes makes it empty. The = rows may be linearly dependent: a
+    repeated one, an all-zero one, one proportional to the simplex row."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 6))
     x0 = rng.dirichlet(np.ones(n))
-    rows, equalities = [], 0
+    rows = []
     for _ in range(int(rng.integers(1, 6))):
         a = rng.normal(size=n) * (rng.random(n) < 0.8)
-        rel = str(rng.choice(["<=", "=", ">="], p=[0.45, 0.1, 0.45]))
-        if not a.any() or rel == "=" and equalities == n - 1:
+        rel = str(rng.choice(["<=", "=", ">="], p=[0.4, 0.2, 0.4]))
+        if rel == "=" and rng.random() < 0.15:
+            a = np.zeros(n)
+        if not a.any() and rel != "=":
             continue
-        equalities += rel == "="
         margin = 0.0 if rel == "=" or rng.random() < 0.3 else rng.uniform(0.01, 0.4)
         rows.append(constraint(a, rel, float(a @ x0) + (-margin if rel == ">=" else margin)))
-        if rel != "=" and rng.random() < 0.15:
+        if rng.random() < 0.15:
             rows.append(rows[-1])
     if rng.random() < 0.1:
         rows.append(constraint(np.ones(n), ">=", 2.0))
+    if rng.random() < 0.2:
+        c = float(rng.uniform(0.2, 3.0))
+        rows.append(constraint(np.full(n, c), "=", c))
     if rng.random() < 0.5:
         rows.append(constraint(np.ones(n), "=", 1.0))
     return n, rows

@@ -171,17 +171,18 @@ def _lp_admissible(U: UtilityMatrix, rows, V: np.ndarray, tol: float) -> Admissi
     """E-admissibility over the members V.T @ x, for x >= 0 meeting the
     stacked rows (A, b, sign), which hold sum(x) = 1, from one program
     over (x, z) with the added rows z >= eu_b . x: the largest eu_a . x - z
-    is a's best margin, so each action runs phase 2 only. Utilities are
-    shifted to be nonnegative first, which moves no margin as sum(x) = 1,
-    so z >= 0 cuts nothing."""
+    is a's best margin, and one batch-priced ``optimize_many`` pass over the
+    actions returns the checked witness of each. Utilities are shifted to
+    be nonnegative first, which moves no margin as sum(x) = 1, so z >= 0
+    cuts nothing."""
     EU = U.u @ V.T  # actions x LP variables
     EU -= EU.min()
     k = len(V)
     A, b, sign = rows
     A = np.block([[A, np.zeros((len(A), 1))], [EU, -np.ones((len(EU), 1))]])
     prepared = PreparedLp(A, np.append(b, np.zeros(len(EU))), np.append(sign, np.ones(len(EU))))
-    X = np.stack([prepared.optimize(np.append(eu, -1.0), "max").witness[:k] for eu in EU])
-    P = _clipped_renormalised(X @ V)
+    X = prepared._solve_many(np.column_stack([EU, -np.ones(len(EU))]), "max")[1]
+    P = _clipped_renormalised(X[:, :k] @ V)
     found = [make_distribution(U.space, p) for p in P]
     return _report(U, P, found.__getitem__, tol)
 

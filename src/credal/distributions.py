@@ -53,6 +53,18 @@ class Distribution:
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
+    @classmethod
+    def _taking(cls, space: OutcomeSpace, probs: np.ndarray, is_normalized: bool) -> Distribution:
+        """A Distribution holding probs, a float array of one entry per atom
+        that the library has just validated and keeps no other writable
+        reference to: made read-only in place, not copied."""
+        probs.flags.writeable = False
+        out = cls.__new__(cls)
+        object.__setattr__(out, "space", space)
+        object.__setattr__(out, "probs", probs)
+        object.__setattr__(out, "is_normalized", is_normalized)
+        return out
+
     def prob(self, atom: str) -> float:
         return float(self.probs[self.space.index(atom)])
 
@@ -84,9 +96,14 @@ def make_distribution(
     infinite entry, NegativeMassError for entries below -TAU_NORM and
     NotNormalizedError when an entry exceeds 1 + TAU_NORM or (unless
     ``require_normalized=False``) the sum differs from 1 by more than
-    TAU_NORM.
+    TAU_NORM. The vector is copied.
     """
-    arr = np.asarray(probs, dtype=float)
+    return _taking_validated(space, np.array(probs, dtype=float), require_normalized)
+
+
+def _taking_validated(space: OutcomeSpace, arr: np.ndarray, require_normalized: bool = True) -> Distribution:
+    """``make_distribution`` on arr, a float array that the library has just
+    built and keeps no other reference to, which is kept without a copy."""
     if arr.shape != (space.size,):
         raise ValueError(f"expected {space.size} probabilities, got shape {arr.shape}")
     least, largest = float(arr.min()), float(arr.max())  # non-finite if any entry is
@@ -100,7 +117,7 @@ def make_distribution(
     normalized = abs(total - 1.0) <= TAU_NORM
     if require_normalized and not normalized:
         raise NotNormalizedError(f"probabilities sum to {total}, expected 1")
-    return Distribution(space, arr, is_normalized=normalized)
+    return Distribution._taking(space, arr, normalized)
 
 
 def mixture(weights, dists: list[Distribution]) -> Distribution:
@@ -119,9 +136,7 @@ def mixture(weights, dists: list[Distribution]) -> Distribution:
     combined = np.zeros(space.size)
     for wi, d in zip(w, dists):
         combined += wi * d.probs
-    return make_distribution(
-        space, combined, require_normalized=all(d.is_normalized for d in dists)
-    )
+    return _taking_validated(space, combined, all(d.is_normalized for d in dists))
 
 
 def marginalize(d: Distribution, keep_vars) -> Distribution:
@@ -142,7 +157,7 @@ def marginalize(d: Distribution, keep_vars) -> Distribution:
     if len(keep_axes) != len(keep):
         raise UnknownVariableError("duplicate variable in keep set")
     if len(keep_axes) == len(names):
-        return Distribution(d.space, d.probs, is_normalized=d.is_normalized)
+        return Distribution._taking(d.space, d.probs, d.is_normalized)
     drop_axes = tuple(i for i in range(len(names)) if i not in keep_axes)
     summed = d.tensor().sum(axis=drop_axes)
     new_space = product_space(*(d.space.variables[i] for i in keep_axes))

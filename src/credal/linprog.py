@@ -14,8 +14,13 @@ the public input format, which ``_stack`` turns into those arrays for
 ``LinearSystem`` and ``solve``. Phase 1 runs on the rows equilibrated,
 each row and its rhs divided by the row's largest |coefficient|, so that
 the absolute pivot and phase-1 tolerances mean the same thing at every
-row scale; the reported phase-1 residual is in those units. ``optimize``
-runs phase 2 for one objective on a copy of the phase-1 tableau.
+row scale; the reported phase-1 residual is in those units. A lower-bound
+row, an inequality whose one nonzero coefficient puts a positive lower
+end l_j on x_j, never enters the tableau: the variables are shifted,
+x = l + x' (Dantzig 1955), so the row costs no artificial and no phase-1
+pivot, and every other row gets rhs b - A @ l. Every witness is l + x'.
+``optimize`` runs phase 2 for one objective on a copy of the phase-1
+tableau.
 ``optimize_many`` serves a stack of objectives from one working copy,
 whose basis stays feasible because the rows do not change: at each basis
 one matrix product gives the reduced costs of a block of pending
@@ -27,8 +32,9 @@ at 10 * TAU_LP with one product against the rows as a <= stack (an =
 row as a and -a), once per block of distinct witnesses in optimize_many.
 Pivoting is deterministic: the same program and objectives give the same
 answers. An infeasible program keeps the duals of its failed phase 1 as
-``farkas``, a ray y with y @ A <= 0 < y @ b in the units of the rows as
-given; ``hull_membership`` reads its separating hyperplane off that ray.
+``farkas``, a ray y over the rows as given, bound rows included, with
+y @ A <= 0 < y @ b = ``infeasibility`` (y <= 0 on a <= row, y >= 0 on a
+>= row); ``hull_membership`` reads its separating hyperplane off that ray.
 ``solve`` prepares a program and optimizes it once; it is public API,
 and the library itself no longer calls it.
 """
@@ -205,13 +211,22 @@ class PreparedLp:
     """The program A @ x (<=, =, >=) b by sign (+1, 0, -1) over x >= 0,
     with phase 1 already run, reusable across objectives.
 
-    Building one runs phase 1 on the rows equilibrated and drives
-    artificials out. ``optimize`` then copies the feasible tableau
-    and runs phase 2 only; ``optimize_many`` serves a stack of objectives
-    on one working copy, pricing them all at each basis it visits. An
-    infeasible program keeps its phase-1 residual and its Farkas
-    ray (``infeasibility``, ``farkas``). Instances are immutable after
-    construction and safe to share.
+    Building one shifts the variables by their lower bounds, x = low + x':
+    low_j is the largest end among the inequality rows whose one nonzero
+    coefficient, on x_j, puts a positive lower end on it (a >= row with a
+    positive coefficient, a <= row with a negative one). Those rows leave
+    the tableau, and every other row gets rhs b - A @ low; upper-bound
+    rows stay, their slacks basic from the start. Phase 1 then runs on the
+    rows equilibrated and drives artificials out. ``optimize`` copies the
+    feasible tableau and runs phase 2 only; ``optimize_many`` serves a
+    stack of objectives on one working copy, pricing them all at each basis
+    it visits. Every witness (and ``feasible_point``) is low + x', checked
+    against every row as given. An infeasible program keeps its phase-1
+    residual and its Farkas ray (``infeasibility``, ``farkas``): the ray
+    of the shifted rows, plus on one bound row per shifted atom j the
+    weight -(y @ A)_j / coefficient, which zeroes column j and makes
+    y @ b the residual. Instances are immutable after construction and
+    safe to share.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, sign: np.ndarray):
@@ -219,15 +234,38 @@ class PreparedLp:
         # the rows as one exact <= stack: as given with >= negated, then -a per = row
         self._eq = sign == 0
         side = np.where(self._eq, 1.0, sign)
-        self._G = np.vstack([side[:, None] * A, -A[self._eq]])
-        self._h = np.append(side * b, -b[self._eq])
+        self._G = np.concatenate((side[:, None] * A, -A[self._eq]))
+        self._h = np.concatenate((side * b, -b[self._eq]))
+        largest = np.abs(A).max(axis=1, initial=0.0)
+        self._largest = np.where(largest > 0, largest, 1.0)
+        self._low = None
+        # a row with sign * b < 0 (>= with b > 0, <= with b < 0) needs an
+        # artificial; one whose only nonzero has b's sign is a bound x_j >= l_j
+        bound = np.flatnonzero(sign * b < 0)
+        if bound.size:
+            bound = bound[np.count_nonzero(A[bound], axis=1) == 1]
+        if bound.size:
+            atoms = A[bound].nonzero()[1]
+            coef = A[bound, atoms]
+            ends = b[bound] / coef
+            lower = ends > 0
+            bound, atoms, coef, ends = bound[lower], atoms[lower], coef[lower], ends[lower]
+        if bound.size:
+            # x = low + x', low the largest end per atom: the bound rows leave
+            # the tableau, and every other row gets rhs b - A @ low
+            self._low = np.zeros(n)
+            np.maximum.at(self._low, atoms, ends)
+            rest = np.ones(len(b), dtype=bool)
+            rest[bound] = False
+            A, sign, largest = A[rest], sign[rest], self._largest[rest]
+            b = b[rest] - A @ self._low
+        else:
+            largest = self._largest
         m = len(b)
         # equilibrate: each row (and its rhs) over its largest |coefficient|,
         # negated where that makes the rhs nonnegative
         flip = np.where(b < 0, -1.0, 1.0)
-        largest = np.abs(A).max(axis=1, initial=0.0)
-        self._largest = np.where(largest > 0, largest, 1.0)
-        scale = flip / self._largest
+        scale = flip / largest
         sign = sign * flip
         # one slack per inequality; artificials where no +1 slack can start basic
         slack = np.flatnonzero(sign)
@@ -256,12 +294,26 @@ class PreparedLp:
             self.infeasibility = float(phase1_cost @ tab.solution())
             if self.infeasibility > TAU_LP:
                 # the phase-1 duals from the reduced costs d: 1 - d on an
-                # artificial, -d / sign on a slack; y @ A <= 0 < y @ b
+                # artificial, -d / sign on a slack; y @ A <= 0 < y @ b, and
+                # y * sign <= 0 on an inequality, which rounding may not keep
                 d = tab.T[-1, :-1]
                 y = np.zeros(m)
                 y[slack] = -d[n + np.arange(slack.size)] / sign[slack]
                 y[art] = 1.0 - d[n_structural:]
-                self.farkas = y * scale
+                y[slack] = np.minimum(y[slack] * sign[slack], 0.0) * sign[slack]
+                y *= scale
+                if self._low is not None:
+                    # one bound row per shifted atom j, whose end is low_j,
+                    # takes -(y @ A)_j / coefficient >= 0, which zeroes
+                    # column j and adds -(y @ A) @ low to y @ b
+                    top = ends == self._low[atoms]
+                    _, first = np.unique(atoms[top], return_index=True)
+                    bound, atoms, coef = bound[top][first], atoms[top][first], coef[top][first]
+                    self.farkas = np.zeros(len(rest))
+                    self.farkas[rest] = y
+                    self.farkas[bound] = -np.minimum(y @ A, 0.0)[atoms] / coef
+                else:
+                    self.farkas = y
                 self._tab = None
                 return
             _drive_out_artificials(tab, n_structural)
@@ -275,7 +327,11 @@ class PreparedLp:
     def feasible_point(self) -> np.ndarray | None:
         if self._tab is None:
             return None
-        return self._tab.solution()[: self.n_vars]
+        return self._shifted(self._tab.solution()[: self.n_vars])
+
+    def _shifted(self, x: np.ndarray) -> np.ndarray:
+        """The program's x = low + x' from the tableau's x', or a stack of them."""
+        return x if self._low is None else x + self._low
 
     def _cost(self, objective, sense: str) -> np.ndarray:
         """The cost to minimize over every tableau column, one row per row
@@ -291,7 +347,7 @@ class PreparedLp:
         tab = self._tab.copy()
         tab.price(self._cost(obj, sense))
         status = _run_simplex(tab, self.bland_after, self.max_iter)
-        x = tab.solution()[: self.n_vars]
+        x = self._shifted(tab.solution()[: self.n_vars])
         if status == "UNBOUNDED":
             return LpResult("UNBOUNDED", witness=x)
         return LpResult("OPTIMAL", value=float(obj @ x), witness=self._checked(x))
@@ -310,6 +366,11 @@ class PreparedLp:
         order do) share bases, so most need no run. The block's witnesses
         are checked as in ``optimize``, in one stacked product.
         """
+        return self._solve_many(rows, sense)[0]
+
+    def _solve_many(self, rows, sense: str):
+        """``optimize_many``'s values and, one row per objective, the checked
+        witness of each (NaN where the program is unbounded)."""
         if self._tab is None:
             raise InfeasibleSystemError(
                 f"program is infeasible (residual {self.infeasibility})"
@@ -318,6 +379,7 @@ class PreparedLp:
         tab = self._tab.copy()
         n = self.n_vars
         values = np.full(len(rows), -np.inf if sense == "min" else np.inf)
+        points = np.full((len(rows), n), np.nan)
         size = max(1, _CHECK_BLOCK // tab.T.size)
         for start in range(0, len(rows), size):
             block = rows[start : start + size].astype(float)
@@ -345,9 +407,10 @@ class PreparedLp:
                     pending, cost = pending[1:], cost[1:]
             bounded = np.flatnonzero(owner >= 0)
             if bounded.size:
-                X = self._checked(np.array(witnesses))[owner[bounded]]
+                X = self._checked(self._shifted(np.array(witnesses)))[owner[bounded]]
                 values[start + bounded] = np.einsum("ij,ij->i", block[bounded], X)
-        return values
+                points[start + bounded] = X
+        return values, points
 
     def scaled_violation(self, x: np.ndarray) -> np.ndarray:
         """By how much x breaks each row (<= 0 where it holds), in units of
@@ -383,17 +446,19 @@ def _drive_out_artificials(tab: _Tableau, n_structural: int):
     zero first: pivoting on a zero-rhs row then moves no other basic
     variable, whereas a leftover 1e-12 over a small pivot could push one
     far below zero."""
-    keep = np.ones(len(tab.basis), dtype=bool)
+    redundant = []  # rows all-zero in the structural columns
     for row in np.flatnonzero(tab.basis >= n_structural):
         entries = np.abs(tab.T[row, :n_structural])
         if entries.size and entries.max() > PIVOT_TOL:
             tab.T[row, -1] = 0.0
             tab.pivot(row, int(np.argmax(entries)))
         else:
-            keep[row] = False  # row is redundant: all-zero in structural cols
-    keep = np.append(keep, True)  # the cost row
-    tab.T = np.delete(tab.T[keep], np.s_[n_structural:-1], axis=1)
-    tab.basis = tab.basis[keep[:-1]]
+            redundant.append(row)
+    if redundant:
+        keep = np.ones(len(tab.T), dtype=bool)  # the last row is the cost row
+        keep[redundant] = False
+        tab.T, tab.basis = tab.T[keep], tab.basis[keep[:-1]]
+    tab.T = np.concatenate((tab.T[:, :n_structural], tab.T[:, -1:]), axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,7 +474,8 @@ def hull_membership(point: Distribution, vertices: list[Distribution]) -> HullMe
     """Exact membership of a point in the convex hull of finitely many points.
 
     One program, V.T @ w = point and sum(w) = 1 over w >= 0, answers both
-    ways. Inside yields its convex weights; outside, the Farkas ray of its
+    ways. Inside yields its convex weights, the checked feasible point of
+    its phase 1; outside, the Farkas ray of its
     failed phase 1 yields a separating hyperplane (normal, offset) with
     normal @ point > offset >= normal @ v_i, which is checked.
     """
@@ -424,7 +490,7 @@ def hull_membership(point: Distribution, vertices: list[Distribution]) -> HullMe
     # the sum row stays: a point that undersums is not a mixture of vertices
     lp = PreparedLp(np.vstack([V.T, np.ones(k)]), np.append(point.probs, 1.0), np.zeros(n + 1))
     if lp.feasible:
-        return HullMembership(inside=True, weights=lp.optimize(np.zeros(k), "min").witness)
+        return HullMembership(inside=True, weights=lp._checked(lp.feasible_point()))
     normal = lp.farkas[:n]
     size = np.abs(normal).max()
     if size > 0:
@@ -482,4 +548,10 @@ def enumerate_polytope_vertices(A: np.ndarray, b: np.ndarray, sign: np.ndarray) 
         T = np.vstack([np.column_stack([T, s <= TAU_LP])[keep], np.column_stack([shared, np.ones(len(p), bool)])])
     X = R[R[:, n] > TAU_LP]
     X = X[:, :n] / X[:, n:]
-    return X[np.all(X >= -TAU_LP, axis=1) & np.all(_violation((A, b, sign), X) <= TAU_LP, axis=1)]
+    X = X[np.all(X >= -TAU_LP, axis=1) & np.all(_violation((A, b, sign), X) <= TAU_LP, axis=1)]
+    # rays of one vertex reached along different edges can round apart:
+    # keep the first of each run within 10 * TAU_LP (sup norm)
+    near = np.ones((len(X), len(X)), dtype=bool)
+    for x in X.T:
+        near &= np.abs(x[:, None] - x) <= 10 * TAU_LP
+    return X[~np.triu(near, 1).any(axis=0)]

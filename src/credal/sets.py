@@ -41,6 +41,7 @@ from .distributions import (
     DIE_EPS_DOMAIN,
     Distribution,
     _bayes_rows,
+    _taking_validated,
     coin_atom_polys,
     die_atom_polys,
     die_bias,
@@ -234,7 +235,7 @@ def _clipped_renormalised(W: np.ndarray) -> np.ndarray:
 
 def _member_from_witness(space: OutcomeSpace, witness: np.ndarray) -> Distribution:
     """The distribution an LP witness stands for: clipped at 0, renormalised."""
-    return make_distribution(space, _clipped_renormalised(witness))
+    return _taking_validated(space, _clipped_renormalised(witness))
 
 
 def interval_to_linear_system(iv: IntervalDistribution) -> LinearSystem:

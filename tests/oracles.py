@@ -11,10 +11,13 @@ point-matching vertex rule and the stacked ``ranges`` call that replaced
 them. So does the per-vertex conditioning loop, kept to check the stacked
 Bayes rule on vertex sets. So does the simplex loop: ``run_simplex`` and
 ``pivot`` are the kernel's former pivot step, kept to check that the
-leaner one takes the same pivots to a bit-identical tableau.
+leaner one takes the same pivots to a bit-identical tableau, and
+``two_phase`` runs them on every row as given, to check the kernel's
+shift of lower-bound rows out of the tableau.
 """
 
 import itertools
+import types
 
 import numpy as np
 
@@ -102,6 +105,54 @@ def run_simplex(tab, bland_after, max_iter):
             leave = tied[tab.basis[tied].argmin()]  # Bland: smallest basis index
         pivot(tab, leave, enter)
     raise NumericalFailureError(f"simplex exceeded {max_iter} iterations")
+
+
+def two_phase(A, b, sign, objective, sense):
+    """(status, value) of min/max objective @ x over x >= 0 and the rows
+    A @ x (<=, =, >=) b by sign (+1, 0, -1), every row kept in the tableau
+    with its own slack and artificial, from the former pivot loop
+    (``run_simplex``): each row and rhs over its largest |coefficient|,
+    negated where the rhs is negative; phase 1 minimizes the artificials,
+    which leave the basis (or their row goes, if it has no structural entry
+    to pivot on) before phase 2."""
+    m, n = A.shape
+    largest = np.abs(A).max(axis=1, initial=0.0)
+    flip = np.where(b < 0, -1.0, 1.0)
+    scale = flip / np.where(largest > 0, largest, 1.0)
+    ineq = np.flatnonzero(sign)
+    T = np.zeros((m + 1, n + len(ineq) + m + 1))
+    T[:m, :n] = A * scale[:, None]
+    T[ineq, n + np.arange(len(ineq))] = sign[ineq] * flip[ineq]
+    T[:m, n + len(ineq) : -1] = np.eye(m)
+    T[:m, -1] = b * scale
+    art = n + len(ineq)
+    tab = types.SimpleNamespace(T=T, basis=np.arange(art, art + m))
+    bland_after, max_iter = 50 + 10 * T.shape[1], 500 + 100 * T.shape[1]
+
+    def price(cost):
+        tab.T[-1, :-1] = cost - cost[tab.basis] @ tab.T[:-1, :-1]
+
+    price(np.append(np.zeros(art), np.ones(m)))
+    run_simplex(tab, bland_after, max_iter)
+    if tab.T[:-1, -1][tab.basis >= art].sum() > TAU_LP:
+        return "INFEASIBLE", None
+    keep = np.ones(m + 1, dtype=bool)
+    for row in np.flatnonzero(tab.basis >= art):
+        entries = np.abs(tab.T[row, :art])
+        if entries.max(initial=0.0) > PIVOT_TOL:
+            tab.T[row, -1] = 0.0
+            pivot(tab, row, int(entries.argmax()))
+        else:
+            keep[row] = False
+    tab.T = np.concatenate([tab.T[keep, :art], tab.T[keep, -1:]], axis=1)
+    tab.basis = tab.basis[keep[:-1]]
+    c = np.asarray(objective, dtype=float) * (1.0 if sense == "min" else -1.0)
+    price(np.append(c, np.zeros(art - n)))
+    if run_simplex(tab, bland_after, max_iter) == "UNBOUNDED":
+        return "UNBOUNDED", None
+    x = np.zeros(art)
+    x[tab.basis] = tab.T[:-1, -1]
+    return "OPTIMAL", float(objective @ x[:n])
 
 
 def interval_lower_envelopes(n, lo, hi):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import vertices_of
 
 from credal import (
     IntervalDistribution,
@@ -331,3 +334,36 @@ def test_linear_system_admissibility_matches_grid_oracle(rng, states3):
             if bool(np.any(eu[:, i] >= best - 0.15))
         }
         assert lp_answer <= near
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_box_plus_row_admissibility_matches_the_hull_of_its_vertices(seed):
+    """A box on 3 to 5 atoms (some lower ends 0) cut by one row on a few
+    atoms, as the interval systems whose lower bounds leave the tableau:
+    e_admissible on the system and e_admissible_over_hull on its vertices
+    (``oracles.vertices_of``, which never touches the kernel) give the same
+    flags and certificates, and every witness lies in the system."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 6))
+    space = simple_space(*(f"w{j}" for j in range(n)))
+    c = rng.dirichlet(np.full(n, 2.0))  # a member, strictly inside unless a lower end is 0
+    lo = np.maximum(c - rng.uniform(0.02, 0.2, n), 0.0) * (rng.random(n) < 0.8)
+    hi = np.minimum(c + rng.uniform(0.02, 0.3, n), 1.0)
+    S = interval_to_linear_system(IntervalDistribution(space, lo, hi))
+    cut = (rng.random(n) < 0.5).astype(float)
+    if cut.any():
+        S = LinearSystem(space, (*S.constraints, constraint(cut, "<=", float(cut @ c) + rng.uniform(0.01, 0.2))))
+    k = int(rng.integers(2, 7))
+    U = UtilityMatrix(tuple(f"a{i}" for i in range(k)), space, rng.normal(size=(k, n)))
+    vertices = []
+    for v in vertices_of(n, S.full_constraints()):
+        if not any(np.abs(v - u).max() <= 1e-9 for u in vertices):
+            vertices.append(v)
+    direct = e_admissible(U, S)
+    hull = e_admissible_over_hull(U, [make_distribution(space, v) for v in vertices])
+    assert direct.admissible_actions == hull.admissible_actions
+    for d, h in zip(direct.entries, hull.entries):
+        assert d.certificate == pytest.approx(h.certificate, abs=1e-9)
+        if d.admissible:
+            assert S.contains(d.witness)

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from credal import (
@@ -608,10 +608,14 @@ def test_enumerated_vertices_match_the_oracle(seed):
 
 
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=303)
+@example(seed=582)
+@example(seed=604)
 @settings(max_examples=20, deadline=None)
 def test_enumerated_core_vertices_match_the_oracle(seed):
     """The core of a random point set's envelope: up to 2^n - 2 rows, many
-    of them tight at each vertex."""
+    of them tight at each vertex. On seeds 303, 582 and 604 double
+    description reached some vertex twice, as rays 4e-8 to 1e-7 apart."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 6))
     sp = simple_space(*(f"w{j}" for j in range(n)))

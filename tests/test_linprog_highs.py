@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import feasible
+from oracles import feasible, two_phase
 
 from credal import LinearProgram, constraint, hull_membership, make_distribution, simple_space, solve
+from credal.linprog import PreparedLp, _stack
 from credal.tolerances import TAU_LP
 
 linprog = pytest.importorskip("scipy.optimize").linprog
@@ -251,3 +252,76 @@ def test_hull_membership_contract(seed, eps, on_a_face):
         A_eq = np.vstack([V.T, np.ones(k)])
         highs = linprog(np.zeros(k), A_eq=A_eq, b_eq=np.append(q, 1.0), bounds=(0, None), method="highs")
         assert res.inside == (highs.status == 0)
+
+
+def bound_program(seed: int):
+    """(n, rows, objective, sense) that mix dense rows with rows on one
+    atom: lower bounds as >= rows with a positive coefficient and as <=
+    rows with a negative one, several on one atom, some with rhs 0, upper
+    bounds, each row scaled by 10^k for k from -3 to 3. Half the programs
+    keep the simplex row sum(x) = 1, and about a third of those have lower
+    ends that sum past 1; the others are capped by sum(x) <= c or left
+    open, so they may also be unbounded."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 8))
+    x0 = rng.dirichlet(np.ones(n))
+    rows = []
+    for _ in range(int(rng.integers(0, 3))):
+        a = rng.normal(size=n) * (rng.random(n) < 0.8)
+        rel = str(rng.choice(["<=", ">=", "="], p=[0.45, 0.45, 0.1]))
+        rows.append((a, rel, float(a @ x0) + SHIFT[rel] * rng.uniform(0.0, 0.2)))
+    past_one = rng.random() < 0.35
+    for j in rng.choice(n, size=int(rng.integers(1, 2 * n + 1))):
+        end = x0[j] * rng.uniform(0.2, 1.0) if not past_one else rng.uniform(1.1, 2.0) / n
+        kind = rng.random()
+        if kind < 0.15:
+            end = 0.0
+        e = np.zeros(n)
+        e[j] = 1.0
+        if kind < 0.55:
+            rows.append((e, ">=", end))
+        elif kind < 0.85:
+            rows.append((-e, "<=", -end))
+        else:
+            rows.append((e, "<=", end + rng.uniform(0.0, 0.5)))
+    total = rng.random()
+    if total < 0.5 or past_one:
+        rows.append((np.ones(n), "=", 1.0))
+    elif total < 0.8:
+        rows.append((np.ones(n), "<=", float(rng.uniform(0.5, 3.0))))
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    scaled = tuple(
+        constraint(a * 10.0 ** k, rel, rhs * 10.0 ** k)
+        for (a, rel, rhs), k in zip(rows, rng.integers(-3, 4, size=len(rows)))
+    )
+    return n, scaled, rng.normal(size=n), str(rng.choice(["min", "max"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_lower_bound_rows_match_highs_and_the_reference_simplex(seed):
+    """The kernel moves rows x_j >= l_j > 0 out of the tableau as a shift
+    x = l + x'. Each value and verdict must match HiGHS and the former
+    two-phase simplex run on every row as given (``oracles.two_phase``) to
+    1e-9; an infeasible program's Farkas ray weighs every row as given, <=
+    rows with y <= 0 and >= rows with y >= 0, and y @ b is its residual."""
+    n, rows, objective, sense = bound_program(seed)
+    A, b, sign = _stack(n, rows)
+    lp = PreparedLp(A, b, sign)
+    res = lp.optimize(objective, sense)
+    status, value = two_phase(A, b, sign, objective, sense)
+    highs_status, highs_value = highs(rows, objective, sense)
+    assert res.status == status == highs_status
+    if status == "OPTIMAL":
+        assert res.value == pytest.approx(value, abs=1e-9 * (1 + abs(value)))
+        assert res.value == pytest.approx(highs_value, abs=1e-9 * (1 + abs(value)))
+        assert feasible(rows, res.witness, tol=10 * TAU_LP)
+        assert feasible(rows, lp.feasible_point(), tol=10 * TAU_LP)
+    if status != "INFEASIBLE":
+        assert lp.farkas is None
+        return
+    y = lp.farkas
+    assert np.all(y[sign > 0] <= 0) and np.all(y[sign < 0] >= 0)
+    assert np.all(y @ A <= 1e-9 * (np.abs(y) @ np.abs(A)).max())
+    assert y @ b == pytest.approx(lp.infeasibility, rel=1e-9, abs=1e-12)
+    assert lp.infeasibility > TAU_LP

@@ -171,7 +171,7 @@ def _lp_admissible(U: UtilityMatrix, rows, V: np.ndarray, tol: float) -> Admissi
     """E-admissibility over the members V.T @ x, for x >= 0 meeting the
     stacked rows (A, b, sign), which hold sum(x) = 1, from one program
     over (x, z) with the added rows z >= eu_b . x: the largest eu_a . x - z
-    is a's best margin, and one batch-priced ``optimize_many`` pass over the
+    is a's best margin, and one lockstep ``optimize_many`` pass over the
     actions returns the checked witness of each. Utilities are shifted to
     be nonnegative first, which moves no margin as sum(x) = 1, so z >= 0
     cuts nothing."""
@@ -181,8 +181,8 @@ def _lp_admissible(U: UtilityMatrix, rows, V: np.ndarray, tol: float) -> Admissi
     A, b, sign = rows
     A = np.block([[A, np.zeros((len(A), 1))], [EU, -np.ones((len(EU), 1))]])
     prepared = PreparedLp(A, np.append(b, np.zeros(len(EU))), np.append(sign, np.ones(len(EU))))
-    X = prepared._solve_many(np.column_stack([EU, -np.ones(len(EU))]), "max")[1]
-    P = _clipped_renormalised(X[:, :k] @ V)
+    W, owner = prepared._solve_many(np.column_stack([EU, -np.ones(len(EU))]), "max")[1:]
+    P = _clipped_renormalised(W[owner, :k] @ V)
     found = [make_distribution(U.space, p) for p in P]
     return _report(U, P, found.__getitem__, tol)
 

@@ -3,40 +3,29 @@
 A small two-phase tableau simplex for the tiny programs that arise from
 credal sets (at most dozens of variables). Variables are nonnegative;
 callers split free variables. Dantzig pricing switches to Bland's rule
-after an iteration threshold so degenerate programs cannot cycle. One
-driver, ``_run_simplex``, serves phase 1 and phase 2: it works on a
-tableau whose last row is the reduced-cost row of the objective.
+after an iteration threshold so degenerate programs cannot cycle.
+``_run_simplex`` serves phase 1 and ``optimize``: it works on a tableau
+whose last row is the reduced-cost row of the objective.
 
 ``PreparedLp`` is the one kernel path. It takes a program as stacked
 rows: A, b and a per-row sign (+1 for <=, 0 for =, -1 for >=); the
 library builds every program it runs as such arrays. ``Constraint`` is
 the public input format, which ``_stack`` turns into those arrays for
-``LinearSystem`` and ``solve``. Phase 1 runs on the rows equilibrated,
-each row and its rhs divided by the row's largest |coefficient|, so that
-the absolute pivot and phase-1 tolerances mean the same thing at every
-row scale; the reported phase-1 residual is in those units. A lower-bound
-row, an inequality whose one nonzero coefficient puts a positive lower
-end l_j on x_j, never enters the tableau: the variables are shifted,
-x = l + x' (Dantzig 1955), so the row costs no artificial and no phase-1
-pivot, and every other row gets rhs b - A @ l. Every witness is l + x'.
-``optimize`` runs phase 2 for one objective on a copy of the phase-1
-tableau.
-``optimize_many`` serves a stack of objectives from one working copy,
-whose basis stays feasible because the rows do not change: at each basis
-one matrix product gives the reduced costs of a block of pending
-objectives, every objective whose reduced costs are all >= -TAU_LP is
-settled there, and phase 2 runs only for the first one left. A
-lower-envelope sweep over subsets in Gray-code order then runs phase 2
-for about one LP in ten on a 10-atom polytope. Every witness is checked
-at 10 * TAU_LP with one product against the rows as a <= stack (an =
-row as a and -a), once per block of distinct witnesses in optimize_many.
-Pivoting is deterministic: the same program and objectives give the same
-answers. An infeasible program keeps the duals of its failed phase 1 as
-``farkas``, a ray y over the rows as given, bound rows included, with
-y @ A <= 0 < y @ b = ``infeasibility`` (y <= 0 on a <= row, y >= 0 on a
->= row); ``hull_membership`` reads its separating hyperplane off that ray.
-``solve`` prepares a program and optimizes it once; it is public API,
-and the library itself no longer calls it.
+``LinearSystem`` and ``solve``. Phase 1 runs once, on the rows
+equilibrated (each over its largest |coefficient|, so that the absolute
+tolerances and the reported phase-1 residual mean the same at every row
+scale), with lower-bound rows shifted out (x = l + x', Dantzig 1955).
+Phase 2 runs on a copy of the phase-1 tableau: ``optimize`` for one
+objective; ``optimize_many`` for a stack in lockstep, each objective
+making ``optimize``'s pivots, one per step, and those on one tableau
+entering one column sharing the pivot (a 10-atom lower-envelope sweep's
+1022 LPs take 130-520 pivots in 7-13 steps). Every witness is checked at
+10 * TAU_LP with one product against the rows as a <= stack (an = row
+as a and -a), in optimize_many once per distinct witness. Pivoting is
+deterministic. An infeasible program keeps the duals of its failed
+phase 1 as a Farkas ray, off which ``hull_membership`` reads its
+separating hyperplane. ``solve`` prepares a program and optimizes it
+once; it is public API, and the library itself no longer calls it.
 """
 
 from __future__ import annotations
@@ -54,12 +43,9 @@ RELATIONS = ("<=", "=", ">=")
 # Entries smaller than this are unusable as pivots.
 PIVOT_TOL = 1e-10
 
-# tableau entries per block of objectives in optimize_many: each basis
-# prices the block's pending rows in one product with the tableau, which
-# settles more of them per basis in a larger block and costs more per
-# product; at 2**17 (101 rows on a 14-atom box, whose bases settle few) a
-# 14-atom box sweep stays faster than one LP run per objective
-_CHECK_BLOCK = 2**17
+# live tableau entries in optimize_many, of the reduced-cost rows a pass takes
+# and of the distinct tableaux a step pivots; a 10-atom polytope's sweep is one pass
+_LIVE_ENTRIES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,6 +164,26 @@ def _run_simplex(tab: _Tableau, bland_after: int, max_iter: int) -> str:
     raise NumericalFailureError(f"simplex exceeded {max_iter} iterations")
 
 
+def _pivot_stack(Ts, bases, col, C, leave, Z, on):
+    """``_Tableau.pivot`` in place on each Ts[k] at (leave[k], col[k]) and on
+    each reduced-cost row Z[i], whose tableau is Ts[on[i]]."""
+    k = np.arange(len(Ts))
+    prow = Ts[k, leave] / C[k, leave][:, None]
+    Ts -= C[:, :, None] * prow[:, None, :]
+    Ts[k, leave] = prow
+    bases[k, leave] = col
+    step = prow[on, :-1]
+    step *= Z[np.arange(len(Z)), col[on]][:, None]
+    Z -= step
+
+
+def _groups(keys: np.ndarray, size: int):
+    """The distinct keys (all in [0, size)), sorted, and each key's index among them."""
+    hit = np.zeros(size, dtype=bool)
+    hit[keys] = True
+    return hit.nonzero()[0], np.cumsum(hit)[keys] - 1
+
+
 _SIGN = {"<=": 1.0, "=": 0.0, ">=": -1.0}
 
 
@@ -212,21 +218,19 @@ class PreparedLp:
     with phase 1 already run, reusable across objectives.
 
     Building one shifts the variables by their lower bounds, x = low + x':
-    low_j is the largest end among the inequality rows whose one nonzero
-    coefficient, on x_j, puts a positive lower end on it (a >= row with a
-    positive coefficient, a <= row with a negative one). Those rows leave
-    the tableau, and every other row gets rhs b - A @ low; upper-bound
-    rows stay, their slacks basic from the start. Phase 1 then runs on the
-    rows equilibrated and drives artificials out. ``optimize`` copies the
-    feasible tableau and runs phase 2 only; ``optimize_many`` serves a
-    stack of objectives on one working copy, pricing them all at each basis
-    it visits. Every witness (and ``feasible_point``) is low + x', checked
+    low_j is the largest positive lower end that an inequality row with
+    one nonzero coefficient, on x_j, puts on it. Those rows leave the
+    tableau and every other row gets rhs b - A @ low; upper-bound rows
+    stay, their slacks basic from the start. Phase 1 then runs on the rows
+    equilibrated and drives artificials out. ``optimize`` runs phase 2 on
+    a copy of the tableau, ``optimize_many`` in lockstep for a stack of
+    objectives. Every witness (and ``feasible_point``) is low + x', checked
     against every row as given. An infeasible program keeps its phase-1
-    residual and its Farkas ray (``infeasibility``, ``farkas``): the ray
-    of the shifted rows, plus on one bound row per shifted atom j the
-    weight -(y @ A)_j / coefficient, which zeroes column j and makes
-    y @ b the residual. Instances are immutable after construction and
-    safe to share.
+    residual ``infeasibility`` and Farkas ray ``farkas``, a y over the rows
+    as given with y @ A <= 0 < y @ b = infeasibility (y <= 0 on a <= row,
+    y >= 0 on a >= row): the ray of the shifted rows, plus on one bound row
+    per shifted atom j the weight -(y @ A)_j / coefficient, which zeroes
+    column j. Instances are immutable after construction and safe to share.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, sign: np.ndarray):
@@ -353,64 +357,63 @@ class PreparedLp:
         return LpResult("OPTIMAL", value=float(obj @ x), witness=self._checked(x))
 
     def optimize_many(self, rows, sense: str) -> np.ndarray:
-        """The optimal value of each row of objective weights, in order
-        (-inf or +inf where the program is unbounded in that direction).
-
-        One working tableau serves the call, its basis kept primal feasible
-        by the rows. Objectives go in blocks of ``_CHECK_BLOCK`` tableau
-        entries' worth of rows. At each basis one product prices the block's
-        pending objectives, and each whose reduced costs are all >= -TAU_LP
-        (``_run_simplex``'s stopping test) is settled with the basis solution
-        as its witness; phase 2 then runs for the first one left, in the
-        order given. Objectives that differ little (as subsets in Gray-code
-        order do) share bases, so most need no run. The block's witnesses
-        are checked as in ``optimize``, in one stacked product.
-        """
+        """The optimal value of each row of objective weights (-inf or +inf where
+        unbounded), by phase 2 in lockstep: each objective makes ``optimize``'s
+        pivots, one a step, and those on one tableau entering one column share
+        the pivot. Past ``_LIVE_ENTRIES`` the rest wait for a later pass."""
         return self._solve_many(rows, sense)[0]
 
     def _solve_many(self, rows, sense: str):
-        """``optimize_many``'s values and, one row per objective, the checked
-        witness of each (NaN where the program is unbounded)."""
+        """``optimize_many``'s values, its distinct checked witnesses and each row's witness (-1: none)."""
         if self._tab is None:
-            raise InfeasibleSystemError(
-                f"program is infeasible (residual {self.infeasibility})"
-            )
-        rows = np.asarray(rows)
-        tab = self._tab.copy()
-        n = self.n_vars
+            raise InfeasibleSystemError(f"program is infeasible (residual {self.infeasibility})")
+        rows = np.asarray(rows, dtype=float)
+        T0, basis0, n, width = self._tab.T[:-1], self._tab.basis, self.n_vars, self._tab.T.shape[1]
         values = np.full(len(rows), -np.inf if sense == "min" else np.inf)
-        points = np.full((len(rows), n), np.nan)
-        size = max(1, _CHECK_BLOCK // tab.T.size)
-        for start in range(0, len(rows), size):
-            block = rows[start : start + size].astype(float)
-            witnesses, owner = [], np.full(len(block), -1)
-            pending, solved = np.arange(len(block)), False
-            cost = self._cost(block, sense)  # a row per pending objective
-            while pending.size:
-                # c_B @ T - c, the reduced costs negated: the basis is optimal
-                # for an objective iff they are all <= TAU_LP
-                D = cost[:, tab.basis] @ tab.T[:-1, :-1] - cost
-                settled = (D <= TAU_LP).all(axis=1)
-                settled[0] |= solved  # by _run_simplex's own reduced-cost row
-                first = 0
-                if settled.any():
-                    owner[pending[settled]] = len(witnesses)
-                    witnesses.append(tab.solution()[:n])
-                    keep = ~settled
-                    pending, cost = pending[keep], cost[keep]
-                    if not pending.size:
+        found, owner, pending = [], np.full(len(rows), -1), np.arange(len(rows))
+        size, fit = max(1, _LIVE_ENTRIES // width), max(1, _LIVE_ENTRIES // T0.size)
+        while pending.size:
+            ids, pending = pending[:size], pending[size:]
+            Z = self._cost(rows[ids], sense)  # the reduced-cost rows, as price makes them
+            Z -= Z[:, basis0] @ T0[:, :-1]
+            Ts, bases, on = T0[None], basis0[None], np.zeros(len(ids), dtype=int)
+            for it in range(self.max_iter):
+                dantzig = it < self.bland_after
+                enter = Z.argmin(axis=1) if dantzig else (Z < -TAU_LP).argmax(axis=1)
+                live = Z[np.arange(len(Z)), enter] < -TAU_LP
+                if not live.all():  # the rest take their tableau's basic solution
+                    ends, which = _groups(on[~live], len(Ts))
+                    owner[ids[~live]] = sum(map(len, found)) + which
+                    found.append(np.zeros((len(ends), width)))
+                    found[-1][np.arange(len(ends))[:, None], bases[ends]] = Ts[ends, :, -1]
+                    if not live.any():
                         break
-                    first = keep.argmax()
-                tab.T[-1, :-1] = -D[first]  # priced for the first objective left
-                solved = _run_simplex(tab, self.bland_after, self.max_iter) == "OPTIMAL"
-                if not solved:  # unbounded: its value stays infinite
-                    pending, cost = pending[1:], cost[1:]
-            bounded = np.flatnonzero(owner >= 0)
-            if bounded.size:
-                X = self._checked(self._shifted(np.array(witnesses)))[owner[bounded]]
-                values[start + bounded] = np.einsum("ij,ij->i", block[bounded], X)
-                points[start + bounded] = X
-        return values, points
+                    ids, Z, on, enter = ids[live], Z[live], on[live], enter[live]
+                keys, on = _groups(on * width + enter, len(Ts) * width)
+                t, col = np.divmod(keys, width)
+                C = Ts[t, :, col]
+                ratios = np.divide(Ts[t, :, -1], C, out=np.full(C.shape, np.inf), where=C > PIVOT_TOL)
+                least = ratios.min(axis=1)
+                tied = ratios <= least[:, None] + TAU_ZERO
+                # the largest pivot among ties, or (Bland) the smallest basis index
+                leave = (np.where(tied, C, -np.inf).argmax(axis=1) if dantzig
+                         else np.where(tied, bases[t], width).argmin(axis=1))
+                # unbounded ones stop before pivoting; past fit pivots, the rest wait
+                go = (least < np.inf) & (np.arange(len(least)) < fit)
+                if not go.all():
+                    pending, keep = np.concatenate((pending, ids[on >= fit])), go[on]
+                    if not keep.any():
+                        break
+                    ids, Z, on = ids[keep], Z[keep], np.cumsum(go)[on[keep]] - 1
+                    t, col, C, leave = t[go], col[go], C[go], leave[go]
+                Ts, bases = Ts[t], bases[t]  # the old stack goes before the pivot's product
+                _pivot_stack(Ts, bases, col, C, leave, Z, on)
+            else:
+                raise NumericalFailureError(f"simplex exceeded {self.max_iter} iterations")
+        witnesses = self._checked(self._shifted(np.concatenate([np.zeros((0, width)), *found])[:, :n]))
+        bounded = owner >= 0
+        values[bounded] = np.einsum("ij,ij->i", rows[bounded], witnesses[owner[bounded]])
+        return values, witnesses, owner
 
     def scaled_violation(self, x: np.ndarray) -> np.ndarray:
         """By how much x breaks each row (<= 0 where it holds), in units of

@@ -187,11 +187,11 @@ class LinearSystem:
         )
 
     def ranges(self, rows: np.ndarray):
-        """(lowest, highest) of row . p over the system for each row of
-        weights, as two arrays, from one batch-priced ``optimize_many``
-        call per sense."""
-        prepared = self._prepared
-        return prepared.optimize_many(rows, "min"), prepared.optimize_many(rows, "max")
+        """(lowest, highest) of row . p over the system for each row of weights,
+        from one lockstep ``optimize_many`` call over the rows and their negations."""
+        rows = np.asarray(rows, dtype=float)  # a uint8 row negated would wrap
+        lows, neg_highs = np.split(self._prepared.optimize_many(np.concatenate((rows, -rows)), "min"), 2)
+        return lows, -neg_highs
 
     def contains(self, d: Distribution, tol: float = TAU_LP) -> bool:
         """Whether d meets every explicit row to tol, each row divided by

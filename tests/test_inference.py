@@ -606,24 +606,27 @@ def test_lower_envelope_superadditive_on_disjoint_events(rng):
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_lower_envelope_solves_one_lp_per_subset(monkeypatch, n):
-    """Counts runs of the one simplex driver during the sweep; the system's
-    phase 1 ran when it was built, so each of them is a phase-2 LP. An
-    objective the current basis already solves is settled by batch pricing
-    without a run, so there is at most one run per LP, and on this box
-    fewer from 5 atoms up."""
+    """The sweep's 2^n - 2 LPs go through optimize_many's lockstep driver,
+    whose pivots are counted here, each shared pivot once (the system's
+    phase 1 ran when it was built): on this box there is at least one,
+    there are at most n^2 (8 to 34 for n = 4 to 8), and fewer than the
+    LPs make when each is solved alone by optimize."""
     S = bounds_system(n, 0.05, 0.6)
-    runs = []
-    run_simplex = linprog._run_simplex
+    pivots, alone = [], []
+    pivot_stack, pivot = linprog._pivot_stack, linprog._Tableau.pivot
 
-    def counted(*args, **kwargs):
-        runs.append(1)
-        return run_simplex(*args, **kwargs)
+    def counted(Ts, *args):
+        pivots.append(len(Ts))
+        return pivot_stack(Ts, *args)
 
-    monkeypatch.setattr(linprog, "_run_simplex", counted)
+    monkeypatch.setattr(linprog, "_pivot_stack", counted)
     bel = lower_envelope_function(S)
-    assert len(runs) <= 2**n - 2
-    if n >= 5:
-        assert len(runs) < 2**n - 2
+    monkeypatch.setattr(linprog._Tableau, "pivot", lambda tab, *args: alone.append(1) or pivot(tab, *args))
+    for mask in range(1, 2 ** (n - 1)):
+        for sense in ("min", "max"):
+            S._prepared.optimize((mask >> np.arange(n) & 1).astype(float), sense)
+    assert 0 < sum(pivots) <= n**2
+    assert sum(pivots) < len(alone)
     assert bel.values[1] == pytest.approx(0.05, abs=1e-12)  # {w1}
     assert bel.values[2 ** (n - 1) - 1] == pytest.approx(0.4, abs=1e-12)  # all but w_n
 
@@ -776,11 +779,13 @@ def random_rows(rng, n):
 @pytest.mark.parametrize("seed", range(6))
 def test_ranges_agree_with_extremes(monkeypatch, seed):
     """ranges, row by row, against extremes on all three representations;
-    small blocks make VertexSet.ranges and optimize_many cross blocks."""
+    small blocks make VertexSet.ranges cross blocks, and a live-entry
+    bound of one tableau makes optimize_many's objectives wait and start
+    again from the phase-1 basis."""
     monkeypatch.setattr(sets, "_RANGE_BLOCK", 5)
-    monkeypatch.setattr(linprog, "_CHECK_BLOCK", 4)
     rng = np.random.default_rng(seed)
     system = messy_system(seed)
+    monkeypatch.setattr(linprog, "_LIVE_ENTRIES", system._prepared._tab.T[:-1].size)
     n = system.space.size
     points = VertexSet(tuple(
         make_distribution(system.space, p) for p in rng.dirichlet(np.ones(n), size=7)

@@ -93,8 +93,8 @@ def test_unbounded_detection():
 
 def test_optimize_many_matches_optimize_and_marks_unbounded_rows():
     """Over x0 - x1 <= 1, x >= 0 the rays are (a, b) with b >= a >= 0, so
-    three rows are unbounded in each sense; the chain goes on after an
-    unbounded row from the basis it stopped in."""
+    three rows are unbounded in each sense; an unbounded row stops before
+    it pivots, and the rows after it are still solved."""
     prepared = PreparedLp(*_stack(2, (constraint(np.array([1.0, -1.0]), "<=", 1.0),)))
     rows = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 0.5], [2.0, -3.0], [0.0, 1.0]])
     lows = prepared.optimize_many(rows, "min")
@@ -137,9 +137,9 @@ def batch_program(seed: int, kind: str):
 
 
 def batch_objectives(seed: int, n: int, gray: bool) -> np.ndarray:
-    """The indicators of the nonempty subsets in Gray-code order, as the
-    lower-envelope sweep stacks them, or 1 to 40 signed real rows, some of
-    them repeated."""
+    """The indicators of the nonempty subsets in Gray-code order, each one
+    atom from the last, or 1 to 40 signed real rows, some of them
+    repeated."""
     if gray:
         masks = np.arange(1, 2**n)
         masks ^= masks >> 1
@@ -153,27 +153,95 @@ def batch_objectives(seed: int, n: int, gray: bool) -> np.ndarray:
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(["polytope", "box", "open"]),
     gray=st.booleans(),
-    block=st.integers(3, 5),
+    block=st.integers(1, 3),
+    bland=st.booleans(),
 )
 @settings(max_examples=120, deadline=None)
-def test_optimize_many_matches_optimize_row_by_row(seed, kind, gray, block):
-    """Batch pricing settles at each basis every objective it already
-    solves; with blocks of 3 to 5 rows (``_CHECK_BLOCK`` counts tableau
-    entries) the pending sets cross blocks. Each
-    value matches a cold optimize of its row, to 1e-9, and the unbounded
-    rows are the same."""
+def test_optimize_many_matches_optimize_row_by_row(seed, kind, gray, block, bland):
+    """With ``_LIVE_ENTRIES`` at 1 to 3 of the program's tableaux, a step
+    pivots at most that many distinct tableaux and a pass takes a few
+    objectives, so objectives wait and start again from the phase-1 basis.
+    Each row has the status of a cold optimize of it (an infinite value
+    where that is unbounded), its value to 1e-12 and, as it makes the same
+    pivots, its witness; the values stay put when the rows are permuted
+    and some repeated; and with ``bland_after`` at 0 for both calls
+    Bland's rule picks every pivot."""
     n, rows = batch_program(seed, kind)
     prepared = PreparedLp(*_stack(n, rows))
+    if bland:
+        prepared.bland_after = 0
     W = batch_objectives(seed, n, gray)
-    with mock.patch.object(linprog, "_CHECK_BLOCK", block * prepared._tab.T.size):
-        found = {sense: prepared.optimize_many(W, sense) for sense in ("min", "max")}
-    for sense, values in found.items():
-        for w, got in zip(W, values):
-            res = prepared.optimize(w, sense)
-            if res.status == "UNBOUNDED":
-                assert got == (-np.inf if sense == "min" else np.inf)
-            else:
-                assert got == pytest.approx(res.value, abs=1e-9)
+    order = np.random.default_rng(seed + 2).permutation(np.r_[: len(W), : min(3, len(W))])
+    with mock.patch.object(linprog, "_LIVE_ENTRIES", block * prepared._tab.T[:-1].size):
+        for sense in ("min", "max"):
+            values, witnesses, owner = prepared._solve_many(W, sense)
+            assert prepared.optimize_many(W[order], sense) == pytest.approx(values[order], abs=1e-12)
+            for w, got, i in zip(W, values, owner):
+                res = prepared.optimize(w, sense)
+                if res.status == "UNBOUNDED":
+                    assert got == (-np.inf if sense == "min" else np.inf) and i == -1
+                else:
+                    assert res.status == "OPTIMAL" and np.isfinite(got)
+                    assert got == pytest.approx(res.value, abs=1e-12)
+                    assert witnesses[i] == pytest.approx(res.witness, abs=1e-12)
+
+
+def assert_pivots_as_optimize(prepared: PreparedLp, W: np.ndarray):
+    """Alone in an optimize_many call, each row of W makes optimize's
+    pivots, row and column, in the same order."""
+    made = {"optimize": [], "optimize_many": []}
+    pivot, pivot_stack = _Tableau.pivot, linprog._pivot_stack
+
+    def one(tab, row, col):
+        made["optimize"].append((int(row), int(col)))
+        return pivot(tab, row, col)
+
+    def stacked(Ts, bases, col, C, leave, *rest):
+        made["optimize_many"].extend(zip(leave.tolist(), col.tolist()))
+        return pivot_stack(Ts, bases, col, C, leave, *rest)
+
+    with mock.patch.object(_Tableau, "pivot", one), mock.patch.object(linprog, "_pivot_stack", stacked):
+        for w in W:
+            for sense in ("min", "max"):
+                made["optimize"].clear()
+                made["optimize_many"].clear()
+                prepared.optimize(w, sense)
+                prepared.optimize_many(w[None], sense)
+                assert made["optimize_many"] == made["optimize"]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["polytope", "box", "open"]),
+    bland=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_optimize_many_pivots_as_optimize_does(seed, kind, bland):
+    """Repeated box rows tie in the ratio test, so this pins Bland's
+    tie-break (the smallest basis index, ``bland_after`` at 0) as well as
+    the entering column, not only the optimum."""
+    n, rows = batch_program(seed, kind)
+    prepared = PreparedLp(*_stack(n, rows))
+    if bland:
+        prepared.bland_after = 0
+    assert_pivots_as_optimize(prepared, batch_objectives(seed, n, False)[:8])
+
+
+@pytest.mark.parametrize("bland", [False, True])
+def test_optimize_many_breaks_ratio_ties_as_optimize_does(bland):
+    """From the slack basis at x = 0, 0.5 x1 + x2 <= 0.25 and x1 <= 0.5
+    tie when x1 enters, with pivots 0.5 and 1: Dantzig's rule takes the
+    second row (the larger pivot), Bland's the first (the smaller basis
+    index), and optimize_many must take the same row."""
+    rows = (
+        constraint(np.array([0.5, 1.0, 0.0]), "<=", 0.25),
+        constraint(np.array([1.0, 0.0, 0.0]), "<=", 0.5),
+        constraint(np.ones(3), "<=", 1.0),
+    )
+    prepared = PreparedLp(*_stack(3, rows))
+    if bland:
+        prepared.bland_after = 0
+    assert_pivots_as_optimize(prepared, np.array([[-1.0, 0.0, 0.0], [-1.0, -0.5, 0.2], [1.0, 1.0, -1.0]]))
 
 
 def test_optimize_many_refuses_an_infeasible_program():

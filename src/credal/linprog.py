@@ -19,7 +19,9 @@ Phase 2 runs on a copy of the phase-1 tableau: ``optimize`` for one
 objective; ``optimize_many`` for a stack in lockstep, each objective
 making ``optimize``'s pivots, one per step, and those on one tableau
 entering one column sharing the pivot (a 10-atom lower-envelope sweep's
-1022 LPs take 130-520 pivots in 7-13 steps). Every witness is checked at
+1022 LPs take 130-520 pivots in 7-13 steps). A pass takes as many
+objectives as ``_LIVE_ENTRIES`` holds tableaux, so a step's distinct
+tableaux, one at most per objective, fit there. Every witness is checked at
 10 * TAU_LP with one product against the rows as a <= stack (an = row
 as a and -a), in optimize_many once per distinct witness. Pivoting is
 deterministic. An infeasible program keeps the duals of its failed
@@ -43,9 +45,9 @@ RELATIONS = ("<=", "=", ">=")
 # Entries smaller than this are unusable as pivots.
 PIVOT_TOL = 1e-10
 
-# live tableau entries in optimize_many, of the reduced-cost rows a pass takes
-# and of the distinct tableaux a step pivots; a 10-atom polytope's sweep is one pass
-_LIVE_ENTRIES = 2**14
+# live entries in optimize_many: a pass takes this over the tableau's size
+# objectives; a 10-atom polytope's and a 9-atom box's sweeps are one pass
+_LIVE_ENTRIES = 2**18
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,14 +62,6 @@ class Constraint:
         arr = np.asarray(self.coeffs, dtype=float).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
-
-    def satisfied_by(self, x: np.ndarray, tol: float = TAU_LP) -> bool:
-        lhs = float(self.coeffs @ x)
-        if self.relation == "<=":
-            return lhs <= self.rhs + tol
-        if self.relation == ">=":
-            return lhs >= self.rhs - tol
-        return abs(lhs - self.rhs) <= tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,20 +354,24 @@ class PreparedLp:
         """The optimal value of each row of objective weights (-inf or +inf where
         unbounded), by phase 2 in lockstep: each objective makes ``optimize``'s
         pivots, one a step, and those on one tableau entering one column share
-        the pivot. Past ``_LIVE_ENTRIES`` the rest wait for a later pass."""
+        the pivot. A pass takes ``_LIVE_ENTRIES`` over the tableau's size
+        objectives and runs each to its end."""
         return self._solve_many(rows, sense)[0]
 
     def _solve_many(self, rows, sense: str):
-        """``optimize_many``'s values, its distinct checked witnesses and each row's witness (-1: none)."""
+        """``optimize_many``'s values, its distinct checked witnesses and each
+        row's witness (-1: none). A pass holds one tableau and one reduced-cost
+        row per objective within ``_LIVE_ENTRIES``, so each objective stays in
+        its pass until it is optimal or unbounded."""
         if self._tab is None:
             raise InfeasibleSystemError(f"program is infeasible (residual {self.infeasibility})")
         rows = np.asarray(rows, dtype=float)
         T0, basis0, n, width = self._tab.T[:-1], self._tab.basis, self.n_vars, self._tab.T.shape[1]
         values = np.full(len(rows), -np.inf if sense == "min" else np.inf)
-        found, owner, pending = [], np.full(len(rows), -1), np.arange(len(rows))
-        size, fit = max(1, _LIVE_ENTRIES // width), max(1, _LIVE_ENTRIES // T0.size)
-        while pending.size:
-            ids, pending = pending[:size], pending[size:]
+        found, owner = [], np.full(len(rows), -1)
+        size = max(1, _LIVE_ENTRIES // self._tab.T.size)
+        for start in range(0, len(rows), size):
+            ids = np.arange(start, min(start + size, len(rows)))
             Z = self._cost(rows[ids], sense)  # the reduced-cost rows, as price makes them
             Z -= Z[:, basis0] @ T0[:, :-1]
             Ts, bases, on = T0[None], basis0[None], np.zeros(len(ids), dtype=int)
@@ -393,19 +391,18 @@ class PreparedLp:
                 t, col = np.divmod(keys, width)
                 C = Ts[t, :, col]
                 ratios = np.divide(Ts[t, :, -1], C, out=np.full(C.shape, np.inf), where=C > PIVOT_TOL)
-                least = ratios.min(axis=1)
+                least = ratios.min(axis=1, initial=np.inf)
+                go = least < np.inf  # unbounded ones stop before pivoting
+                if not go.all():
+                    keep = go[on]
+                    if not keep.any():
+                        break
+                    ids, Z, on = ids[keep], Z[keep], np.cumsum(go)[on[keep]] - 1
+                    t, col, C, ratios, least = t[go], col[go], C[go], ratios[go], least[go]
                 tied = ratios <= least[:, None] + TAU_ZERO
                 # the largest pivot among ties, or (Bland) the smallest basis index
                 leave = (np.where(tied, C, -np.inf).argmax(axis=1) if dantzig
                          else np.where(tied, bases[t], width).argmin(axis=1))
-                # unbounded ones stop before pivoting; past fit pivots, the rest wait
-                go = (least < np.inf) & (np.arange(len(least)) < fit)
-                if not go.all():
-                    pending, keep = np.concatenate((pending, ids[on >= fit])), go[on]
-                    if not keep.any():
-                        break
-                    ids, Z, on = ids[keep], Z[keep], np.cumsum(go)[on[keep]] - 1
-                    t, col, C, leave = t[go], col[go], C[go], leave[go]
                 Ts, bases = Ts[t], bases[t]  # the old stack goes before the pivot's product
                 _pivot_stack(Ts, bases, col, C, leave, Z, on)
             else:
@@ -503,21 +500,6 @@ def hull_membership(point: Distribution, vertices: list[Distribution]) -> HullMe
     if not margin > 0:  # a zero normal separates nothing
         raise NumericalFailureError("phase 1 gave no separating hyperplane")
     return HullMembership(inside=False, normal=normal, offset=offset, margin=margin)
-
-
-def prepare_fractional(rows, denominator: np.ndarray) -> PreparedLp:
-    """Phase-1-completed program for ratio objectives over a probability
-    polytope, given as its full stacked rows (the simplex row included),
-    with a fixed denominator event.
-
-    Uses the standard substitution y = t p, t = 1 / (denominator @ p):
-    every row becomes homogeneous in (y, t), the simplex row becoming
-    sum(y) = t, and the denominator becomes the normalization y @ d = 1.
-    Optimize with objectives of the form append(num, 0).
-    """
-    A, b, sign = rows
-    A = np.vstack([np.column_stack([A, -b]), np.append(denominator, 0.0)])
-    return PreparedLp(A, np.append(np.zeros(len(b)), 1.0), np.append(sign, 0.0))
 
 
 def enumerate_polytope_vertices(A: np.ndarray, b: np.ndarray, sign: np.ndarray) -> np.ndarray:

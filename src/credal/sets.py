@@ -57,7 +57,7 @@ from .errors import (
     ZeroEvidenceError,
 )
 from .linprog import (
-    Constraint, LpResult, PreparedLp, _stack, constraint, prepare_fractional,
+    Constraint, LpResult, PreparedLp, _stack, constraint,
 )
 from .spaces import Event, OutcomeSpace, coin_space
 from .tolerances import TAU_LP, TAU_NORM, TAU_ZERO
@@ -616,13 +616,21 @@ def independent_square_family(w_lo: float, w_hi: float) -> ParametricFamily:
 
 
 def _ratio_program(system: LinearSystem, den: np.ndarray, refusal: type) -> PreparedLp:
-    """The program for ratios over p(E) = den . p on the system (see
-    linprog.prepare_fractional); raises ``refusal`` when p(E) has zero
-    upper bound there."""
+    """The program for ratios over p(E) = den . p on the system; raises
+    ``refusal`` when p(E) has zero upper bound there.
+
+    Uses the standard substitution y = t p, t = 1 / (den @ p): every row
+    of the system (the simplex row included) becomes homogeneous in
+    (y, t), the simplex row becoming sum(y) = t, and the denominator
+    becomes the normalization y @ den = 1. Optimize with objectives of
+    the form append(num, 0).
+    """
     upper = system.optimize(den, "max")
     if upper.status != "OPTIMAL" or upper.value <= TAU_ZERO:
         raise refusal("conditioning event has zero upper probability over the system")
-    return prepare_fractional(system._rows, den)
+    A, b, sign = system._rows
+    A = np.vstack([np.column_stack([A, -b]), np.append(den, 0.0)])
+    return PreparedLp(A, np.append(np.zeros(len(b)), 1.0), np.append(sign, 0.0))
 
 
 def fractional_bounds(
@@ -631,7 +639,7 @@ def fractional_bounds(
     """Min or max of p(A and E) / p(E) over the system.
 
     Linear-fractional objectives reduce to an LP by the substitution
-    y = p / p(E); see linprog.prepare_fractional.
+    y = p / p(E); see _ratio_program.
     """
     if event_num.space != system.space or event_den.space != system.space:
         raise SpaceMismatchError("events are over a different space")

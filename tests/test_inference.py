@@ -780,8 +780,7 @@ def random_rows(rng, n):
 def test_ranges_agree_with_extremes(monkeypatch, seed):
     """ranges, row by row, against extremes on all three representations;
     small blocks make VertexSet.ranges cross blocks, and a live-entry
-    bound of one tableau makes optimize_many's objectives wait and start
-    again from the phase-1 basis."""
+    bound of one tableau makes optimize_many take one objective a pass."""
     monkeypatch.setattr(sets, "_RANGE_BLOCK", 5)
     rng = np.random.default_rng(seed)
     system = messy_system(seed)

@@ -33,7 +33,7 @@ from credal.errors import (
 )
 from credal import linprog
 from credal.inference import core_of_belief, lower_envelope_function, zeta_transform
-from credal.linprog import Constraint, PreparedLp, _stack, _Tableau, enumerate_polytope_vertices
+from credal.linprog import Constraint, PreparedLp, _stack, _Tableau, _violation, enumerate_polytope_vertices
 from credal.tolerances import TAU_LP
 
 
@@ -109,6 +109,15 @@ def test_optimize_many_matches_optimize_and_marks_unbounded_rows():
     assert np.isinf(highs).sum() == np.isinf(lows).sum() == 3
 
 
+def test_optimize_many_over_a_tableau_with_no_rows():
+    """A lone lower-bound row leaves the tableau, so phase 2 has no row to
+    pivot on: each objective is optimal at x = (0.5, 0) or unbounded."""
+    prepared = PreparedLp(*_stack(2, (constraint(np.array([1.0, 0.0]), ">=", 0.5),)))
+    assert prepared._tab.T.shape[0] == 1
+    rows = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, 2.0]])
+    np.testing.assert_array_equal(prepared.optimize_many(rows, "min"), [0.5, -np.inf, 0.0])
+
+
 def batch_program(seed: int, kind: str):
     """(n, rows) on 2 to 6 atoms. "polytope": the simplex cut by random <=
     and >= rows through a random point x0, some tight there (degenerate).
@@ -158,11 +167,12 @@ def batch_objectives(seed: int, n: int, gray: bool) -> np.ndarray:
 )
 @settings(max_examples=120, deadline=None)
 def test_optimize_many_matches_optimize_row_by_row(seed, kind, gray, block, bland):
-    """With ``_LIVE_ENTRIES`` at 1 to 3 of the program's tableaux, a step
-    pivots at most that many distinct tableaux and a pass takes a few
-    objectives, so objectives wait and start again from the phase-1 basis.
-    Each row has the status of a cold optimize of it (an infinite value
-    where that is unbounded), its value to 1e-12 and, as it makes the same
+    """With ``_LIVE_ENTRIES`` at 1 to 3 of the program's tableaux, a pass
+    takes that many objectives, and every stack of tableaux and of
+    reduced-cost rows it pivots fits there. No objective is dropped and
+    made again: the objectives' pivots add up to those of a cold optimize
+    of each row. Each row has that optimize's status (an infinite value
+    where it is unbounded), its value to 1e-12 and, as it makes the same
     pivots, its witness; the values stay put when the rows are permuted
     and some repeated; and with ``bland_after`` at 0 for both calls
     Bland's rule picks every pivot."""
@@ -172,9 +182,28 @@ def test_optimize_many_matches_optimize_row_by_row(seed, kind, gray, block, blan
         prepared.bland_after = 0
     W = batch_objectives(seed, n, gray)
     order = np.random.default_rng(seed + 2).permutation(np.r_[: len(W), : min(3, len(W))])
-    with mock.patch.object(linprog, "_LIVE_ENTRIES", block * prepared._tab.T[:-1].size):
+    live = block * prepared._tab.T.size
+    pivots = {"optimize": 0, "optimize_many": 0}
+    pivot, pivot_stack = _Tableau.pivot, linprog._pivot_stack
+
+    def one(tab, row, col):
+        pivots["optimize"] += 1
+        return pivot(tab, row, col)
+
+    def stacked(Ts, bases, col, C, leave, Z, on):
+        assert Ts.size <= live and Z.size <= live
+        pivots["optimize_many"] += len(Z)
+        return pivot_stack(Ts, bases, col, C, leave, Z, on)
+
+    with (
+        mock.patch.object(linprog, "_LIVE_ENTRIES", live),
+        mock.patch.object(_Tableau, "pivot", one),
+        mock.patch.object(linprog, "_pivot_stack", stacked),
+    ):
         for sense in ("min", "max"):
+            pivots.update(optimize=0, optimize_many=0)
             values, witnesses, owner = prepared._solve_many(W, sense)
+            made = pivots["optimize_many"]
             assert prepared.optimize_many(W[order], sense) == pytest.approx(values[order], abs=1e-12)
             for w, got, i in zip(W, values, owner):
                 res = prepared.optimize(w, sense)
@@ -184,6 +213,7 @@ def test_optimize_many_matches_optimize_row_by_row(seed, kind, gray, block, blan
                     assert res.status == "OPTIMAL" and np.isfinite(got)
                     assert got == pytest.approx(res.value, abs=1e-12)
                     assert witnesses[i] == pytest.approx(res.witness, abs=1e-12)
+            assert made == pivots["optimize"]
 
 
 def assert_pivots_as_optimize(prepared: PreparedLp, W: np.ndarray):
@@ -261,7 +291,7 @@ def test_witness_feasible_and_value_consistent(rng):
         obj = rng.normal(size=n)
         res = solve(LinearProgram(n, tuple(rows), objective=obj, sense="min"))
         assert res.status == "OPTIMAL"
-        assert all(c.satisfied_by(res.witness, 1e-7) for c in rows)
+        assert _violation(_stack(n, rows), res.witness).max() <= 1e-7
         assert res.value == pytest.approx(float(obj @ res.witness), abs=1e-8)
 
 

@@ -280,14 +280,13 @@ def mobius_transform(values: np.ndarray) -> np.ndarray:
 
 
 def _subset_sums(values: np.ndarray, sign: float) -> np.ndarray:
-    """out[A] = sum over B subset of A of sign^|A - B| values[B] (sign * x
-    is exact, so -1 subtracts bit for bit)."""
+    """out[..., A] = sum over B subset of A of sign^|A - B| values[..., B],
+    along the last axis (sign * x is exact, so -1 subtracts bit for bit)."""
     out = values.astype(float)
-    n = int(math.log2(len(out)))
-    masks = np.arange(len(out))
-    for i in range(n):
-        has = (masks >> i & 1) == 1
-        out[has] += sign * out[masks[has] ^ (1 << i)]
+    for i in range(int(math.log2(out.shape[-1]))):
+        # split each index at bit i: [..., high, bit, low], a view of out
+        halves = out.reshape(*out.shape[:-1], -1, 2, 2**i)
+        halves[..., 1, :] += sign * halves[..., 0, :]
     return out
 
 
@@ -349,7 +348,7 @@ class MobiusReport:
     envelope_is_belief: every Moebius mass is >= -TAU_LP, i.e. the lower
     envelope is a belief function. set_equals_core: the credal set
     coincides with the core of its lower envelope (None when that could
-    not be decided; see set_equals_core notes in the module docs).
+    not be decided; see ``_set_equals_core``).
     """
 
     space: OutcomeSpace
@@ -417,8 +416,9 @@ def _set_equals_core(S: CredalSet, bel: np.ndarray, is_belief: bool) -> bool | N
     """Does S coincide with {p : p(A) >= Bel(A)}?
 
     S is always inside the core (Bel is its lower envelope), so only
-    core-inside-S needs deciding. For a LinearSystem that is exact: one
-    ``ranges`` call over the core gives the worst case of each constraint.
+    core-inside-S needs deciding. For a LinearSystem that is exact: each
+    row's worst case over the core must meet it, and ``_core_reaches``
+    finds those minima without the core's 2^n - 2 rows.
     A VertexSet equals it iff every vertex of the core is a point of S (a
     core vertex in conv(S) is a vertex of conv(S)): ``_chains_all_tight``
     walks the marginal vectors of a 2-monotone Bel; otherwise double
@@ -434,9 +434,9 @@ def _set_equals_core(S: CredalSet, bel: np.ndarray, is_belief: bool) -> bool | N
 
     if isinstance(S, LinearSystem):
         A, b, sign = (r[:-1] for r in S._rows)  # the explicit rows
-        core = PreparedLp(*_core_rows(n, bel))
-        lows, neg_highs = np.split(core.optimize_many(np.concatenate((A, -A)), "min"), 2)
-        return not np.any((sign >= 0) & (-neg_highs > b + TAU_LP) | (sign <= 0) & (lows < b - TAU_LP))
+        # min a @ p over the core must reach b on a >= or = row, min -a @ p reach -b on a <= or = row
+        W = np.concatenate((A[sign <= 0], -A[sign >= 0]))
+        return _core_reaches(W, np.concatenate((b[sign <= 0], -b[sign >= 0])), bel, is_belief)
 
     if isinstance(S, ParametricFamily):
         idx = slice(None) if S.conditioning is None else list(S.conditioning.indices)
@@ -464,6 +464,59 @@ def _set_equals_core(S: CredalSet, bel: np.ndarray, is_belief: bool) -> bool | N
         return None
     X = enumerate_polytope_vertices(*_core_rows(n, bel))
     return bool(np.all(np.abs(X[:, None] - V).max(axis=2).min(axis=1) <= 10 * TAU_LP))
+
+
+def _chain_values(W: np.ndarray, bel: np.ndarray):
+    """For each row w of W, the greedy rule's value w @ P and marginal
+    vector P: the atoms in order of falling weight (ties in index order),
+    each P_i the rise of Bel as i joins the chain of those before it.
+
+    The value is the Choquet integral of w, the sum over the chain's sets
+    S_k of (w_k - w_(k+1)) Bel(S_k) with w_(n+1) = 0: the objective of a
+    dual-feasible point of min w @ p over the core, so never above that
+    minimum. It is the minimum when Bel is 2-monotone (Edmonds 1970;
+    Shapley 1971), and otherwise wherever P lies in the core."""
+    order = np.argsort(-W, axis=1, kind="stable")
+    rises = np.diff(bel[np.cumsum(1 << order, axis=1)], axis=1, prepend=0.0)
+    P = np.empty_like(rises)
+    np.put_along_axis(P, order, rises, axis=1)
+    return np.einsum("ij,ij->i", W, P), P
+
+
+def _core_reaches(W: np.ndarray, need: np.ndarray, bel: np.ndarray, is_belief: bool) -> bool:
+    """Whether min w @ p over the core of bel reaches need - TAU_LP for
+    every row w of W.
+
+    A row's chain value is a lower bound of its minimum, so a row that the
+    value reaches holds. A row it misses fails when the value is the
+    minimum: when Bel is 2-monotone, or when the marginal vector meets
+    every core row and p >= 0 to 10 * TAU_LP. Each row left is decided by
+    the core program's dual, max sum_A y_A Bel(A) + z over y >= 0 with
+    sum_(A holding i) y_A + z <= w_i. Writing z = min w - u with u >= 0
+    (the atom of least weight asks for that) leaves n rows of nonnegative
+    rhs w - min w, so the dual needs no phase 1, and its checked witness
+    bounds w @ p on the core from below within 10 * TAU_LP.
+    """
+    n = W.shape[1]
+    low, P = _chain_values(W, bel)
+    short = low < need - TAU_LP
+    if not short.any():
+        return True
+    if is_belief or _two_monotone(bel, n):
+        return False
+    W, need, P = W[short], need[short], P[short]
+    masses = np.zeros((len(P), len(bel)))
+    masses[:, 1 << np.arange(n)] = P
+    # p(A) >= Bel(A), and p(A) >= 0 where Bel(A) <= 0; P sums to Bel(all) = 1
+    if np.all(_subset_sums(masses, 1.0) >= np.maximum(bel, 0.0) - 10 * TAU_LP, axis=1).any():
+        return False
+    A, b, _ = _core_rows(n, bel)
+    A[-1], b[-1] = -1.0, -1.0  # the simplex row's multiplier z as -u
+    for w, bound in zip(W, need):
+        dual = PreparedLp(A.T, w - w.min(), np.ones(n))
+        if dual.optimize(b, "max").value + w.min() < bound - TAU_LP:
+            return False
+    return True
 
 
 def _two_monotone(bel: np.ndarray, n: int) -> bool:

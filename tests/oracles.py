@@ -7,13 +7,15 @@ core-equality references are the exception: they keep the library's
 former LP-based answers (a permutation walk with one hull program per
 marginal vector, one hull program per enumerated core vertex, and one
 program per constraint over the core) to check the chain walk, the
-point-matching vertex rule and the stacked ``ranges`` call that replaced
-them. So does the per-vertex conditioning loop, kept to check the stacked
-Bayes rule on vertex sets. So does the simplex loop: ``run_simplex`` and
+point-matching vertex rule and the chain values, marginal vectors and
+n-row dual programs that replaced them. So does the per-vertex
+conditioning loop, kept to check the stacked Bayes rule on vertex sets. So does the simplex loop: ``run_simplex`` and
 ``pivot`` are the kernel's former pivot step, kept to check that the
 leaner one takes the same pivots to a bit-identical tableau, and
 ``two_phase`` runs them on every row as given, to check the kernel's
-shift of lower-bound rows out of the tableau.
+shift of lower-bound rows out of the tableau. ``chain_value`` is the
+greedy rule as a loop over one chain, to check the stacked chain values
+of the LinearSystem core test.
 """
 
 import itertools
@@ -233,6 +235,22 @@ def is_two_monotone(bel, n, tol=1e-8):
             if bel[A | 1 << i | 1 << j] + bel[A] < bel[A | 1 << i] + bel[A | 1 << j] - tol:
                 return False
     return True
+
+
+def chain_value(bel, w):
+    """The greedy rule, one atom at a time: walk the atoms in order of
+    falling weight (ties in index order), give each the rise of bel as it
+    joins the chain of those before it, and keep the running sum of weight
+    times rise. Returns (that sum, the marginal vector of rises)."""
+    n = len(w)
+    p = np.zeros(n)
+    mask, prev, total = 0, 0.0, 0.0
+    for i in sorted(range(n), key=lambda i: -w[i]):
+        mask |= 1 << i
+        p[i] = bel[mask] - prev
+        prev = bel[mask]
+        total += w[i] * p[i]
+    return total, p
 
 
 def linear_system_equals_core(S, bel, tol=1e-8):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    chain_value,
     conditionalize_by_vertex,
     core_vertices,
     is_two_monotone,
@@ -54,7 +55,7 @@ from credal.errors import (
     UnknownVariableError,
     ZeroEvidenceEverywhereError,
 )
-from credal import linprog, sets
+from credal import inference, linprog, sets
 from credal.inference import lower_envelope_function, mobius_transform, zeta_transform
 from credal.linprog import _stack, enumerate_polytope_vertices
 from credal.sets import IntervalDistribution
@@ -1041,26 +1042,146 @@ def test_box_vertex_sets_above_five_atoms_are_decided(n):
     assert dropped.set_equals_core is False
 
 
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_linear_system_core_check_matches_per_row_programs(seed):
-    """Odd seeds: a box of per-atom bounds. Even seeds: a polytope of
-    <=, >= and = rows. Both hold a random point."""
+def core_check_test_system(kind: str, seed: int) -> LinearSystem:
+    """A LinearSystem on 3-6 atoms holding a random point. "box": per-atom
+    bounds; "box+row": those and one dense row; "polytope": <=, >= and =
+    rows; "equalities": dense = rows only; "core+row": the core of the lower
+    envelope of a few random points (often not 2-monotone) and one dense row
+    at its minimum over that core, a row the core meets."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 7))
     space = simple_space(*(f"w{j}" for j in range(n)))
     center = rng.dirichlet(np.ones(n))
-    if seed % 2:
+    if kind == "core+row":
+        points = VertexSet(tuple(make_distribution(space, p) for p in rng.dirichlet(np.ones(n), size=int(rng.integers(2, 6)))))
+        core = core_of_belief(space, lower_envelope_function(points).values)
+        a = rng.normal(size=n)
+        return LinearSystem(space, (*core.constraints, constraint(a, ">=", core.optimize(a, "min").value)))
+    rows = []
+    if kind.startswith("box"):
         lo = center * rng.uniform(0.0, 1.0, n)
         hi = np.minimum(1.0, center + rng.uniform(0.0, 0.3, n))
-        S = interval_to_linear_system(IntervalDistribution(space, lo, hi))
-    else:
-        rows = []
-        for _ in range(int(rng.integers(1, 5))):
-            a = rng.normal(size=n)
-            relation = str(rng.choice(["<=", ">=", "="], p=[0.45, 0.45, 0.1]))
-            slack = {"<=": 1.0, ">=": -1.0, "=": 0.0}[relation] * rng.uniform(0.0, 0.3)
-            rows.append(constraint(a, relation, float(a @ center) + slack))
-        S = LinearSystem(space, tuple(rows))
+        rows += interval_to_linear_system(IntervalDistribution(space, lo, hi)).constraints
+    relations = {"box": [], "box+row": ["<=", ">="], "polytope": ["<=", ">=", "="], "equalities": ["="]}[kind]
+    dense = 0 if kind == "box" else 1 if kind == "box+row" else int(rng.integers(1, 5))
+    for _ in range(dense):
+        a = rng.normal(size=n)
+        relation = str(rng.choice(relations))
+        slack = {"<=": 1.0, ">=": -1.0, "=": 0.0}[relation] * rng.uniform(0.0, 0.3)
+        rows.append(constraint(a, relation, float(a @ center) + slack))
+    return LinearSystem(space, tuple(rows))
+
+
+@given(kind=st.sampled_from(("box", "box+row", "polytope", "equalities", "core+row")),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_linear_system_core_check_matches_per_row_programs(kind, seed):
+    """Chain values, marginal-vector certificates and dual programs give the
+    verdict of one program per row over the whole core; a core with one more
+    row it meets is its own core."""
+    S = core_check_test_system(kind, seed)
     rep = mobius_report(S)
     assert rep.set_equals_core is linear_system_equals_core(S, rep.bel.values)
+    if kind == "core+row":
+        assert rep.set_equals_core is True
+
+
+def core_check_programs(S):
+    """mobius_report(S), and the row count of each PreparedLp built inside
+    its core check."""
+    built, inside = [], []
+    init, check = linprog.PreparedLp.__init__, inference._set_equals_core
+
+    def counting_init(self, A, *rest):
+        if inside:
+            built.append(len(A))
+        init(self, A, *rest)
+
+    def marked_check(*args):
+        inside.append(True)
+        try:
+            return check(*args)
+        finally:
+            inside.clear()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linprog.PreparedLp, "__init__", counting_init)
+        mp.setattr(inference, "_set_equals_core", marked_check)
+        return mobius_report(S), built
+
+
+def test_linear_system_core_check_reaches_every_branch():
+    """Seeds whose verdicts come from each branch: rows the chain values
+    settle, the 2-monotone gate, a marginal vector in the core that misses
+    its row, and the n-row dual programs, which also confirm rows the chain
+    values miss (the core plus a row it meets)."""
+    reached = set()
+    for kind, seed in itertools.product(("box+row", "polytope", "core+row"), range(40)):
+        S = core_check_test_system(kind, seed)
+        rep, built = core_check_programs(S)
+        n = S.space.size
+        assert rep.set_equals_core is linear_system_equals_core(S, rep.bel.values)
+        assert all(rows == n for rows in built)
+        if built:
+            reached.add(("dual", rep.set_equals_core))
+        elif rep.set_equals_core:
+            reached.add("settled")
+        else:
+            reached.add("gate" if is_two_monotone(rep.bel.values, n) else "certificate")
+    assert {"settled", "gate", "certificate", ("dual", True)} <= reached, reached
+
+
+@given(seed=st.integers(0, 2**32 - 1), box=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_chain_values_match_the_greedy_rule_and_bound_the_core(seed, box):
+    """The stacked chain values are the greedy rule's; they are the core's
+    minimum when the envelope is 2-monotone, and never above it otherwise."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    space = simple_space(*(f"w{j}" for j in range(n)))
+    center = rng.dirichlet(np.ones(n))
+    if box:
+        S = interval_to_linear_system(IntervalDistribution(
+            space, center * rng.uniform(0.0, 1.0, n), np.minimum(1.0, center + rng.uniform(0.0, 0.3, n))))
+    else:
+        S = VertexSet(tuple(make_distribution(space, p) for p in rng.dirichlet(np.ones(n), size=int(rng.integers(2, 6)))))
+    bel = lower_envelope_function(S).values
+    W = rng.normal(size=(6, n))
+    W[0] = np.round(W[0])  # ties
+    low, P = inference._chain_values(W, bel)
+    core = core_of_belief(space, bel)
+    for w, value, p in zip(W, low, P):
+        greedy, marginal = chain_value(bel, w)
+        assert value == pytest.approx(greedy, abs=1e-12)
+        np.testing.assert_allclose(p, marginal, rtol=0, atol=1e-15)
+        least = core.optimize(w, "min").value
+        if is_two_monotone(bel, n):
+            assert value == pytest.approx(least, abs=1e-7)
+        else:
+            assert value <= least + 1e-9
+
+
+@pytest.mark.parametrize("kind", ["box", "polytope"])
+def test_ten_atom_linear_system_core_check_builds_no_core_program(kind):
+    """The core check of a 10-atom system decides without the core's 1022
+    rows: no program it builds has more than n + 1 rows."""
+    rng = np.random.default_rng(10)
+    n = 10
+    space = simple_space(*(f"w{j}" for j in range(n)))
+    center = rng.dirichlet(np.full(n, 2.0))
+    if kind == "box":
+        S = interval_to_linear_system(IntervalDistribution(
+            space, np.clip(center - rng.uniform(0.02, 0.08, n), 0.0, 1.0),
+            np.clip(center + rng.uniform(0.02, 0.08, n), 0.0, 1.0)))
+    else:
+        rows = []
+        for relation in ["<="] * 3 + [">="] * 2:
+            a = rng.normal(size=n)
+            slack = rng.uniform(0.02, 0.1)
+            rows.append(constraint(a, relation, float(a @ center) + (slack if relation == "<=" else -slack)))
+        S = LinearSystem(space, tuple(rows))
+    rep, built = core_check_programs(S)
+    if kind == "box":
+        assert rep.set_equals_core is True
+    assert rep.set_equals_core is not None
+    assert all(rows <= n + 1 for rows in built)

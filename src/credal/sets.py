@@ -388,15 +388,31 @@ class ParametricFamily:
         keep, M = _bayes_rows(M, self.conditioning)
         return s[keep], M
 
+    def _classes(self, branch: FamilyBranch) -> np.ndarray:
+        """(classes, atoms) mask of a branch's atom classes: atoms on the
+        conditioning event whose polynomial rows are identical, and which
+        every member therefore gives one probability."""
+        on = True if self.conditioning is None else self.conditioning.indicator() > 0
+        G = _atom_classes(branch.atom_forms[0].tobytes(), branch.atom_forms[0].shape[1]) & on
+        return G[G.any(axis=1)]
+
     def contains(self, d: Distribution, tol: float = 1e-9) -> bool:
-        """Whether some branch point coincides with d within sup-norm tol."""
+        """Whether some branch point coincides with d within sup-norm tol.
+
+        A member's probability of a class (see ``_classes``) must lie in
+        the window [max d - tol, min d + tol] over the class's atoms. A
+        branch with an empty window holds no such member; on the others,
+        the points where a class crosses an end of its window decide."""
         if d.space != self.space:
             raise SpaceMismatchError("distribution is over a different space")
-        n = self.space.size
-        eye = np.eye(n)
-        levels = np.concatenate([eye - (d.probs + tol)[:, None], eye - (d.probs - tol)[:, None]])
-        for bi in range(len(self.branches)):
-            _, M = self.critical_members(bi, levels=levels)
+        for bi, b in enumerate(self.branches):
+            G = self._classes(b)
+            lo = np.where(G, d.probs, -np.inf).max(axis=1) - tol
+            hi = np.where(G, d.probs, np.inf).min(axis=1) + tol
+            if np.any(lo > hi):
+                continue
+            first = G & (G.cumsum(axis=1) == 1)  # one atom stands for its class
+            _, M = self.critical_members(bi, levels=np.concatenate([first - hi[:, None], first - lo[:, None]]))
             if len(M) and float(np.abs(M - d.probs).max(axis=1).min()) <= tol:
                 return True
         return False
@@ -419,9 +435,15 @@ class ParametricFamily:
 
     def ranges(self, rows: np.ndarray):
         """(lowest, highest) of row . p over the members for each row of
-        weights, as two arrays, one ``extremes`` call per row."""
-        found = [self.extremes(w) for w in np.asarray(rows, dtype=float)]
-        return np.array([f[0] for f in found]), np.array([f[2] for f in found])
+        weights, as two arrays. Rows whose sums over each atom class of
+        every branch agree weigh every member alike, so one ``extremes``
+        call serves each distinct set of class sums."""
+        rows = np.asarray(rows, dtype=float)
+        sums = np.concatenate([rows @ self._classes(b).T for b in self.branches], axis=1)
+        _, first, back = np.unique(sums, axis=0, return_index=True, return_inverse=True)
+        found = np.array([self.extremes(rows[i])[::2] for i in first]).reshape(-1, 2)
+        lower, upper = found[back.reshape(-1)].T
+        return lower, upper
 
     def sample(self, k: int, rng: np.random.Generator) -> list[Distribution]:
         out: list[Distribution] = []
@@ -458,6 +480,15 @@ _IMAG_TOL = 1e-7
 # the cut point itself has evidence; near the cut D is a sum of terms of
 # one sign, evaluated to a few ulps
 _EDGE = TAU_ZERO * (1.0 + 1e-11)
+
+
+@lru_cache(maxsize=32)
+def _atom_classes(polys: bytes, width: int) -> np.ndarray:
+    """(classes, atoms) mask grouping identical rows, cached by their bytes."""
+    label = np.unique(np.frombuffer(polys).reshape(-1, width), axis=0, return_inverse=True)[1].reshape(-1)
+    G = np.arange(label.max() + 1)[:, None] == label
+    G.flags.writeable = False
+    return G
 
 
 @lru_cache(maxsize=32)
@@ -514,18 +545,15 @@ def _critical_polys(form, ev, levels, ratios):
     return stacked, is_edge
 
 
-def _pad(A: np.ndarray, width: int) -> np.ndarray:
-    if A.shape[1] >= width:
-        return A
-    return np.pad(A, ((0, 0), (0, width - A.shape[1])))
-
-
 def _stack_polys(blocks) -> np.ndarray:
+    """The rows of every block, zero-padded to the widest."""
     blocks = [b for b in blocks if len(b)]
-    if not blocks:
-        return np.zeros((0, 1))
-    width = max(b.shape[1] for b in blocks)
-    return np.concatenate([_pad(b, width) for b in blocks])
+    out = np.zeros((sum(len(b) for b in blocks), max((b.shape[1] for b in blocks), default=1)))
+    row = 0
+    for b in blocks:
+        out[row : row + len(b), : b.shape[1]] = b
+        row += len(b)
+    return out
 
 
 def _real_roots(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,11 @@ leaner one takes the same pivots to a bit-identical tableau, and
 ``two_phase`` runs them on every row as given, to check the kernel's
 shift of lower-bound rows out of the tableau. ``chain_value`` is the
 greedy rule as a loop over one chain, to check the stacked chain values
-of the LinearSystem core test.
+of the LinearSystem core test. ``contains_by_atom`` and ``ranges_by_row``
+are the family's former membership test, with two level rows per atom,
+and its former ``ranges``, with one ``extremes`` call per row; they check
+the per-class windows and the one ``extremes`` call per distinct set of
+class sums that replaced them.
 """
 
 import itertools
@@ -382,6 +386,35 @@ def grid_distance(fam, d):
     for rows in family_grid(fam):
         best = min(best, float(np.abs(rows - d).max(axis=1).min()))
     return best
+
+
+def same_atom_pairs(fam, bi):
+    """Pairs of atoms on the conditioning event that every member of branch
+    bi weighs alike: equal closed forms at a point where the atoms of
+    different classes differ."""
+    b = fam.branches[bi]
+    s = np.array([0.003 if b.generator == "die-bias" else 0.3])
+    row = _closed_form_rows(b.generator, dict(b.params), fam.space.atoms, s)[0]
+    on = range(fam.space.size) if fam.conditioning is None else fam.conditioning.indices
+    return [(i, j) for i, j in itertools.combinations(on, 2) if row[i] == row[j]]
+
+
+def contains_by_atom(fam, d, tol):
+    """Membership within sup-norm tol from the critical members of two
+    level rows per atom, where d_i +- tol is crossed."""
+    eye = np.eye(fam.space.size)
+    levels = np.concatenate([eye - (d.probs + tol)[:, None], eye - (d.probs - tol)[:, None]])
+    for bi in range(len(fam.branches)):
+        _, M = fam.critical_members(bi, levels=levels)
+        if len(M) and float(np.abs(M - d.probs).max(axis=1).min()) <= tol:
+            return True
+    return False
+
+
+def ranges_by_row(fam, rows):
+    """(lowest, highest) of each weight row, one ``extremes`` call per row."""
+    found = [fam.extremes(w) for w in np.asarray(rows, dtype=float)]
+    return np.array([f[0] for f in found]), np.array([f[2] for f in found])
 
 
 def conditionalize_by_vertex(S, e):

@@ -4,13 +4,22 @@ Every family answer (envelopes, bet verdicts, E-admissibility, membership)
 is decided from polynomial roots; the oracle evaluates closed-form members
 on a 1e-4 grid that closes in on the interval ends. An exact extremum is
 at least as extreme as any grid point and within FAMILY_TOL of the grid's.
+Membership and ``ranges``, which work per class of atoms, are also checked
+against the per-atom and per-row references in ``oracles``.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import grid_distance, grid_margins, grid_range
+from oracles import (
+    contains_by_atom,
+    grid_distance,
+    grid_margins,
+    grid_range,
+    ranges_by_row,
+    same_atom_pairs,
+)
 
 from credal import (
     BetBook,
@@ -29,6 +38,7 @@ from credal import (
 )
 from credal.cases import FAMILY_TOL
 from credal.errors import EmptySetError, ZeroEvidenceError
+from credal.inference import lower_envelope_function
 
 SLACK = 1e-12
 
@@ -178,6 +188,81 @@ def test_contains_matches_grid(fam, data):
         assert inside
     if inside:
         assert dist <= tol + FAMILY_TOL
+
+
+@given(fam=families(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_contains_matches_per_atom_levels(fam, data):
+    """The per-class windows give the verdicts of two level rows per atom,
+    on members, members moved by at most 0.9 tol per atom, members with two
+    atoms of one class pushed 2.2 tol apart, and Dirichlet draws."""
+    tol = 10 ** data.draw(st.floats(-9, -2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["member", "moved", "split", "dirichlet"]))
+    if kind == "dirichlet":
+        probs = rng.dirichlet(np.ones(fam.space.size))
+    else:
+        bi = data.draw(st.integers(0, len(fam.branches) - 1))
+        b = fam.branches[bi]
+        try:
+            probs = fam.member(bi, data.draw(st.floats(b.lo, b.hi))).probs.copy()
+        except ZeroEvidenceError:
+            return
+        if kind == "moved":
+            probs = np.clip(probs + rng.uniform(-0.9 * tol, 0.9 * tol, len(probs)), 0.0, 1.0)
+        elif kind == "split":
+            pairs = same_atom_pairs(fam, bi)
+            if not pairs:
+                return
+            i, j = pairs[int(rng.integers(len(pairs)))]
+            down = min(1.1 * tol, probs[j])
+            probs[i] += 2.2 * tol - down
+            probs[j] -= down
+    d = make_distribution(fam.space, probs, require_normalized=False)
+    inside = fam.contains(d, tol)
+    assert inside == contains_by_atom(fam, d, tol)
+    if kind in ("member", "moved"):
+        assert inside
+    if kind == "split" and len(fam.branches) == 1:
+        assert not inside
+
+
+@given(fam=families(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_ranges_match_per_row_extremes(fam, data):
+    """One extremes call per distinct set of class sums gives each row's
+    per-row extremes, for subset indicators (which share class sums) and
+    random weights."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    k = data.draw(st.integers(1, 24))
+    if data.draw(st.booleans()):
+        rows = (rng.random((k, fam.space.size)) < data.draw(st.sampled_from([0.2, 0.5]))).astype(float)
+    else:
+        rows = rng.uniform(-1.0, 1.0, (k, fam.space.size))
+    try:
+        want = ranges_by_row(fam, rows)
+    except EmptySetError:
+        with pytest.raises(EmptySetError):
+            fam.ranges(rows)
+        return
+    got = fam.ranges(rows)
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-15)
+
+
+def test_coin_lower_envelope_solves_each_class_functional_once(monkeypatch):
+    """The 32767 subsets of a 4-toss coin family's sweep carry 349 distinct
+    sets of class sums, one critical_members call each."""
+    calls = []
+    critical_members = ParametricFamily.critical_members
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return critical_members(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParametricFamily, "critical_members", counted)
+    lower_envelope_function(coin_family(0.1, 0.5, 4))
+    assert len(calls) == 349
 
 
 @pytest.mark.parametrize("n", range(2, 7))

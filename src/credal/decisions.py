@@ -114,7 +114,7 @@ def e_admissible(U: UtilityMatrix, S: CredalSet, tol: float = TAU_LP) -> Admissi
         V = np.stack([v.probs for v in S.vertices])
         return _report(U, V, S.vertices.__getitem__, tol)
     if isinstance(S, LinearSystem):
-        return _lp_admissible(U, S._rows, np.eye(S.space.size), tol)
+        return _lp_admissible(U, S._prepared._rows, np.eye(S.space.size), tol)
     if isinstance(S, ParametricFamily):
         return _family_admissible(U, S, tol)
     raise EmptySetError("unsupported credal set")

@@ -66,11 +66,11 @@ def conditionalize(S: CredalSet, e: Event) -> CredalSet:
 
     VertexSet: conditions each vertex, drops zero-evidence vertices
     (count kept on the result), collapses duplicates. LinearSystem: the
-    box of exact per-atom conditional bounds, each the min or max of
-    p(j) / p(e) from one linear-fractional program, returned as the box
-    system it generates; this is an outer approximation of the set of
-    conditioned members, not that set. ParametricFamily: composes the
-    generator with conditioning.
+    box of exact per-atom conditional bounds, every min and max of
+    p(j) / p(e) from one optimize_many over the ratio program (the
+    system's tableau of max p(e) after one pivot), as the box system it
+    generates: an outer approximation of the set of conditioned members,
+    not that set. ParametricFamily: composes the generator with conditioning.
     """
     if e.space != S.space:
         raise SpaceMismatchError("event is over a different space")
@@ -87,13 +87,12 @@ def conditionalize(S: CredalSet, e: Event) -> CredalSet:
         return VertexSet(tuple(kept), dropped=int(len(keep) - len(rows)))
 
     if isinstance(S, LinearSystem):
-        prepared = _ratio_program(S, e.indicator(), ZeroEvidenceEverywhereError)
-        n = S.space.size
-        idx = list(e.indices)
+        n, idx = S.space.size, list(e.indices)
         atoms = np.eye(n + 1)[idx]  # p_j as a ratio objective over (y, t)
+        ratio = _ratio_program(S, e.indicator(), ZeroEvidenceEverywhereError)
+        lows, neg_highs = np.split(ratio.optimize_many(np.concatenate((atoms, -atoms)), "min"), 2)
         lo, hi = np.zeros(n), np.zeros(n)
-        values = prepared.optimize_many(np.concatenate((atoms, -atoms)), "min")
-        lo[idx], hi[idx] = np.maximum(0.0, values[: len(idx)]), np.minimum(1.0, -values[len(idx) :])
+        lo[idx], hi[idx] = np.maximum(0.0, lows), np.minimum(1.0, -neg_highs)
         return interval_to_linear_system(IntervalDistribution(S.space, lo, hi))
 
     try:
@@ -433,7 +432,7 @@ def _set_equals_core(S: CredalSet, bel: np.ndarray, is_belief: bool) -> bool | N
     n = S.space.size
 
     if isinstance(S, LinearSystem):
-        A, b, sign = (r[:-1] for r in S._rows)  # the explicit rows
+        A, b, sign = (r[:-1] for r in S._prepared._rows)  # the explicit rows
         # min a @ p over the core must reach b on a >= or = row, min -a @ p reach -b on a <= or = row
         W = np.concatenate((A[sign <= 0], -A[sign >= 0]))
         return _core_reaches(W, np.concatenate((b[sign <= 0], -b[sign >= 0])), bel, is_belief)

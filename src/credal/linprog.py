@@ -26,8 +26,9 @@ tableaux, one at most per objective, fit there. Every witness is checked at
 as a and -a), in optimize_many once per distinct witness. Pivoting is
 deterministic. An infeasible program keeps the duals of its failed
 phase 1 as a Farkas ray, off which ``hull_membership`` reads its
-separating hyperplane. ``solve`` prepares a program and optimizes it
-once; it is public API, and the library itself no longer calls it.
+separating hyperplane. A ratio program is one pivot from the optimal
+tableau of max p(E) (``_charnes_cooper``). ``solve`` prepares a program
+and optimizes it once; it is public API, and the library no longer calls it.
 """
 
 from __future__ import annotations
@@ -227,16 +228,12 @@ class PreparedLp:
     column j. Instances are immutable after construction and safe to share.
     """
 
+    infeasibility, farkas = 0.0, None  # set where phase 1 fails
+    _low = _lift = None  # the program's x is x' @ lift + low, from the tableau's x'
+
     def __init__(self, A: np.ndarray, b: np.ndarray, sign: np.ndarray):
         self.n_vars = n = A.shape[1]
-        # the rows as one exact <= stack: as given with >= negated, then -a per = row
-        self._eq = sign == 0
-        side = np.where(self._eq, 1.0, sign)
-        self._G = np.concatenate((side[:, None] * A, -A[self._eq]))
-        self._h = np.concatenate((side * b, -b[self._eq]))
-        largest = np.abs(A).max(axis=1, initial=0.0)
-        self._largest = np.where(largest > 0, largest, 1.0)
-        self._low = None
+        self._check_against(A, b, sign)
         # a row with sign * b < 0 (>= with b > 0, <= with b < 0) needs an
         # artificial; one whose only nonzero has b's sign is a bound x_j >= l_j
         bound = np.flatnonzero(sign * b < 0)
@@ -282,8 +279,6 @@ class PreparedLp:
         tab = _Tableau(T, basis)
         self.bland_after = 50 + 10 * (m + total)
         self.max_iter = 500 + 100 * (m + total)
-        self.infeasibility = 0.0
-        self.farkas = None
         if art.size:
             phase1_cost = (np.arange(total) >= n_structural).astype(float)
             tab.price(phase1_cost)
@@ -318,37 +313,77 @@ class PreparedLp:
         tab.T.flags.writeable = False
         self._tab = tab
 
+    def _check_against(self, A, b, sign):
+        """Keep the rows as given, and as one exact <= stack to check witnesses against."""
+        self._rows = A, b, sign
+        self._eq = sign == 0
+        side = np.where(self._eq, 1.0, sign)
+        self._G = np.concatenate((side[:, None] * A, -A[self._eq]))
+        self._h = np.concatenate((side * b, -b[self._eq]))
+        largest = np.abs(A).max(axis=1, initial=0.0)
+        self._largest = np.where(largest > 0, largest, 1.0)
+
+    def _charnes_cooper(self, tab: _Tableau, den: np.ndarray) -> PreparedLp:
+        """The Charnes-Cooper program (Charnes & Cooper 1962) over (y, t) =
+        (t x, t), t = 1 / den @ x, checked against this program's rows as
+        [A | -b] @ (y, t) (sign) 0, then den @ y = 1. From tab, the optimal
+        tableau of max den @ x > TAU_ZERO, with no phase 1: the rows keep their
+        basis, the rhs column negated is t's, and den @ y' + (den @ low) t = 1
+        (y = y' + t low), reduced against that basis, is minus tab's reduced
+        costs with t's entry den @ x*, on which t enters."""
+        n, T, basis = self.n_vars, tab.T, tab.basis
+        row = np.append(-T[-1, :-1], 1.0)
+        t = np.append(-T[:-1, -1], [den @ self._shifted(tab.solution()[:n]), 0.0])
+        # t's column goes in at n, so (y', t) are the first n + 1 columns
+        T = np.insert(np.vstack([T[:-1], row, np.zeros_like(row)]), n, t, axis=1)
+        T[:-2, -1] = 0.0
+        ratio = _Tableau(T, np.append(basis + (basis >= n), n))
+        ratio.pivot(len(basis), n)
+        ratio.T.flags.writeable = False
+        lp = object.__new__(PreparedLp)
+        lp.n_vars, lp.bland_after, lp.max_iter, lp._tab = n + 1, self.bland_after, self.max_iter, ratio
+        A, b, sign = self._rows
+        lp._check_against(np.vstack([np.column_stack([A, -b]), np.append(den, 0.0)]),
+                          np.append(np.zeros(len(b)), 1.0), np.append(sign, 0.0))
+        if self._low is not None:
+            lp._lift = np.vstack([np.eye(n, n + 1), np.append(self._low, 1.0)])
+        return lp
+
     @property
     def feasible(self) -> bool:
         return self._tab is not None
 
     def feasible_point(self) -> np.ndarray | None:
-        if self._tab is None:
-            return None
-        return self._shifted(self._tab.solution()[: self.n_vars])
+        return None if self._tab is None else self._shifted(self._tab.solution()[: self.n_vars])
 
     def _shifted(self, x: np.ndarray) -> np.ndarray:
-        """The program's x = low + x' from the tableau's x', or a stack of them."""
+        """The program's x = x' @ lift + low from the tableau's x', or a stack of them."""
+        x = x if self._lift is None else x @ self._lift
         return x if self._low is None else x + self._low
 
     def _cost(self, objective, sense: str) -> np.ndarray:
         """The cost to minimize over every tableau column, one row per row
         of a stack of objectives."""
         cost = np.zeros(objective.shape[:-1] + (self._tab.T.shape[1] - 1,))
-        cost[..., : self.n_vars] = objective if sense == "min" else -objective
+        c = objective if sense == "min" else -objective
+        cost[..., : self.n_vars] = c if self._lift is None else c @ self._lift.T
         return cost
 
     def optimize(self, objective, sense: str) -> LpResult:
+        return self._phase2(objective, sense)[0]
+
+    def _phase2(self, objective, sense: str):
+        """``optimize``'s result and the tableau it ended on (None if infeasible)."""
         if self._tab is None:
-            return LpResult("INFEASIBLE", infeasibility=self.infeasibility)
+            return LpResult("INFEASIBLE", infeasibility=self.infeasibility), None
         obj = np.asarray(objective, dtype=float)
         tab = self._tab.copy()
         tab.price(self._cost(obj, sense))
         status = _run_simplex(tab, self.bland_after, self.max_iter)
         x = self._shifted(tab.solution()[: self.n_vars])
         if status == "UNBOUNDED":
-            return LpResult("UNBOUNDED", witness=x)
-        return LpResult("OPTIMAL", value=float(obj @ x), witness=self._checked(x))
+            return LpResult("UNBOUNDED", witness=x), tab
+        return LpResult("OPTIMAL", value=float(obj @ x), witness=self._checked(x)), tab
 
     def optimize_many(self, rows, sense: str) -> np.ndarray:
         """The optimal value of each row of objective weights (-inf or +inf where
@@ -481,10 +516,8 @@ def hull_membership(point: Distribution, vertices: list[Distribution]) -> HullMe
     """
     if not vertices:
         raise ValueError("vertex list must be nonempty")
-    space = point.space
-    for v in vertices:
-        if v.space != space:
-            raise SpaceMismatchError("hull vertices live on a different space")
+    if any(v.space != point.space for v in vertices):
+        raise SpaceMismatchError("hull vertices live on a different space")
     V = np.stack([v.probs for v in vertices])  # k x n
     k, n = V.shape
     # the sum row stays: a point that undersums is not a mixture of vertices

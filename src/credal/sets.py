@@ -110,10 +110,8 @@ class VertexSet:
     def __post_init__(self):
         if not self.vertices:
             raise EmptySetError("vertex set must be nonempty")
-        space = self.vertices[0].space
-        for v in self.vertices[1:]:
-            if v.space != space:
-                raise SpaceMismatchError("vertices live on different spaces")
+        if any(v.space != self.vertices[0].space for v in self.vertices[1:]):
+            raise SpaceMismatchError("vertices live on different spaces")
 
     @property
     def space(self) -> OutcomeSpace:
@@ -150,8 +148,8 @@ class LinearSystem:
     verified on construction.
 
     Construction stacks the full rows once, the simplex row last, and runs
-    phase 1 on them; both are kept, so later programs over the system are
-    built from the rows and later optimizations skip straight to phase 2.
+    phase 1 on them; the prepared program keeps both, so later programs over
+    the system are built from them and later optimizations skip to phase 2.
     """
 
     space: OutcomeSpace
@@ -160,13 +158,11 @@ class LinearSystem:
     def __post_init__(self):
         n = self.space.size
         A, b, sign = _stack(n, self.constraints)
-        rows = np.vstack([A, np.ones(n)]), np.append(b, 1.0), np.append(sign, 0.0)
-        prepared = PreparedLp(*rows)
+        prepared = PreparedLp(np.vstack([A, np.ones(n)]), np.append(b, 1.0), np.append(sign, 0.0))
         if not prepared.feasible:
             raise InfeasibleSystemError(
                 f"constraint system is infeasible (residual {prepared.infeasibility})"
             )
-        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_prepared", prepared)
 
     def full_constraints(self) -> tuple[Constraint, ...]:
@@ -440,10 +436,11 @@ class ParametricFamily:
         call serves each distinct set of class sums."""
         rows = np.asarray(rows, dtype=float)
         sums = np.concatenate([rows @ self._classes(b).T for b in self.branches], axis=1)
-        _, first, back = np.unique(sums, axis=0, return_index=True, return_inverse=True)
-        found = np.array([self.extremes(rows[i])[::2] for i in first]).reshape(-1, 2)
-        lower, upper = found[back.reshape(-1)].T
-        return lower, upper
+        order = np.lexsort(sums.T)  # stable, so each group's first row leads it
+        new = np.append(True, (sums[order[1:]] != sums[order[:-1]]).any(axis=1))[: len(rows)]
+        back = (np.cumsum(new) - 1)[np.argsort(order)]
+        found = np.array([self.extremes(rows[i])[::2] for i in order[new]]).reshape(-1, 2)
+        return tuple(found[back].T)
 
     def sample(self, k: int, rng: np.random.Generator) -> list[Distribution]:
         out: list[Distribution] = []
@@ -651,14 +648,13 @@ def _ratio_program(system: LinearSystem, den: np.ndarray, refusal: type) -> Prep
     of the system (the simplex row included) becomes homogeneous in
     (y, t), the simplex row becoming sum(y) = t, and the denominator
     becomes the normalization y @ den = 1. Optimize with objectives of
-    the form append(num, 0).
+    the form append(num, 0). It takes no phase 1 of its own: see
+    ``PreparedLp._charnes_cooper``.
     """
-    upper = system.optimize(den, "max")
+    upper, tab = system._prepared._phase2(den, "max")
     if upper.status != "OPTIMAL" or upper.value <= TAU_ZERO:
         raise refusal("conditioning event has zero upper probability over the system")
-    A, b, sign = system._rows
-    A = np.vstack([np.column_stack([A, -b]), np.append(den, 0.0)])
-    return PreparedLp(A, np.append(np.zeros(len(b)), 1.0), np.append(sign, 0.0))
+    return system._prepared._charnes_cooper(tab, den)
 
 
 def fractional_bounds(
@@ -667,7 +663,8 @@ def fractional_bounds(
     """Min or max of p(A and E) / p(E) over the system.
 
     Linear-fractional objectives reduce to an LP by the substitution
-    y = p / p(E); see _ratio_program.
+    y = p / p(E), whose program is the system's own tableau of max p(E)
+    after one pivot; see _ratio_program.
     """
     if event_num.space != system.space or event_den.space != system.space:
         raise SpaceMismatchError("events are over a different space")

@@ -19,7 +19,9 @@ of the LinearSystem core test. ``contains_by_atom`` and ``ranges_by_row``
 are the family's former membership test, with two level rows per atom,
 and its former ``ranges``, with one ``extremes`` call per row; they check
 the per-class windows and the one ``extremes`` call per distinct set of
-class sums that replaced them.
+class sums that replaced them. ``ratio_program_by_phase1`` is the former
+Charnes-Cooper program, a fresh phase 1 over the homogenised rows, to
+check the program derived from the tableau of max p(E).
 """
 
 import itertools
@@ -30,7 +32,7 @@ import numpy as np
 from credal.distributions import condition_distribution
 from credal.errors import NumericalFailureError, ZeroEvidenceError, ZeroEvidenceEverywhereError
 from credal.inference import core_of_belief
-from credal.linprog import PIVOT_TOL, hull_membership
+from credal.linprog import PIVOT_TOL, PreparedLp, hull_membership
 from credal.sets import _member_from_witness
 from credal.tolerances import TAU_LP, TAU_ZERO
 
@@ -434,3 +436,16 @@ def conditionalize_by_vertex(S, e):
     if not kept:
         raise ZeroEvidenceEverywhereError("every member assigns the event probability <= TAU_ZERO")
     return kept, dropped
+
+
+def ratio_program_by_phase1(system, den, refusal):
+    """The program for ratios over p(E) = den . p on the system, as the
+    kernel built it before: max p(E) solved and refused at or below
+    TAU_ZERO, then a new PreparedLp, with its own phase 1, over the rows
+    [A | -b] @ (y, t) (sign) 0 and den @ y = 1."""
+    upper = system.optimize(den, "max")
+    if upper.status != "OPTIMAL" or upper.value <= TAU_ZERO:
+        raise refusal("conditioning event has zero upper probability over the system")
+    A, b, sign = system._prepared._rows
+    A = np.vstack([np.column_stack([A, -b]), np.append(den, 0.0)])
+    return PreparedLp(A, np.append(np.zeros(len(b)), 1.0), np.append(sign, 0.0))

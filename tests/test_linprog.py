@@ -15,6 +15,7 @@ from credal import (
     LinearSystem,
     UtilityMatrix,
     VertexSet,
+    conditionalize,
     constraint,
     e_admissible,
     e_admissible_over_hull,
@@ -29,12 +30,13 @@ from credal import (
     solve,
 )
 from credal.errors import (
-    DenominatorVanishesError, InfeasibleSystemError, NumericalFailureError, SpaceMismatchError,
+    CredalError, DenominatorVanishesError, InfeasibleSystemError, NumericalFailureError, SpaceMismatchError,
+    ZeroEvidenceEverywhereError,
 )
 from credal import linprog
 from credal.inference import core_of_belief, lower_envelope_function, zeta_transform
 from credal.linprog import Constraint, PreparedLp, _stack, _Tableau, _violation, enumerate_polytope_vertices
-from credal.tolerances import TAU_LP
+from credal.tolerances import TAU_LP, TAU_ZERO
 
 
 def bounds_constraints(n, lo, hi):
@@ -47,7 +49,9 @@ def bounds_constraints(n, lo, hi):
     return rows
 
 
-from oracles import marginal_vectors, run_simplex as reference_simplex, vertices_of as oracle_vertices
+from oracles import (
+    marginal_vectors, ratio_program_by_phase1, run_simplex as reference_simplex, vertices_of as oracle_vertices,
+)
 
 
 def test_bound_system_max(die6=None):
@@ -533,6 +537,139 @@ def test_fractional_bounds_denominator_vanishes():
     system = LinearSystem(sp, (constraint(np.array([1.0, 0.0]), "=", 1.0),))
     with pytest.raises(DenominatorVanishesError):
         fractional_bounds(system, Event.of(sp, "b"), Event.of(sp, "b"), "max")
+
+
+def ratio_system(seed: int):
+    """(system, den, num) on 2 to 5 atoms around a point x0 inside the
+    simplex: lower ends on some atoms (rows the kernel shifts out of the
+    tableau), upper ends on others, general <=, >= and = rows, and now and
+    then a redundant = row (the simplex row doubled, an = row repeated),
+    which phase 1 drops. den and num are 0/1 indicators, num inside den."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    x0 = rng.dirichlet(np.ones(n))
+    eye, side = np.eye(n), {"<=": 1.0, "=": 0.0, ">=": -1.0}
+    rows = []
+    for j in range(n):
+        if rng.random() < 0.5:
+            rows.append(constraint(eye[j], ">=", x0[j] * rng.uniform(0.2, 1.0)))
+        if rng.random() < 0.3:
+            rows.append(constraint(eye[j], "<=", x0[j] + rng.uniform(0.0, 0.3)))
+    for _ in range(int(rng.integers(0, 3))):
+        a = rng.normal(size=n)
+        rel = str(rng.choice(list(side)))
+        rows.append(constraint(a, rel, float(a @ x0) + side[rel] * rng.uniform(0.0, 0.2)))
+    if rng.random() < 0.3:
+        rows.append(constraint(2.0 * np.ones(n), "=", 2.0))
+    eq = [c for c in rows if c.relation == "="]
+    if eq and rng.random() < 0.5:
+        rows.append(constraint(-3.0 * eq[0].coeffs, "=", -3.0 * eq[0].rhs))
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    den = (rng.random(n) < 0.6).astype(float)
+    den[rng.integers(n)] = 1.0
+    num = den * (rng.random(n) < 0.5)
+    return LinearSystem(simple_space(*(f"w{j}" for j in range(n))), tuple(rows)), den, num
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_ratio_program_matches_the_phase1_reference_and_bayes_rule(seed):
+    """The ratio program derived from the tableau of max p(E) gives the
+    fractional bounds and the conditioned box of the former program with
+    its own phase 1, and of Bayes' rule on every vertex with evidence, to
+    1e-9."""
+    system, den, num = ratio_system(seed)
+    n = system.space.size
+    V = np.array(oracle_vertices(n, system.full_constraints()))
+    V = V[V @ den > 1e-9]
+    bayes = V / (V @ den)[:, None]  # each vertex conditioned on E
+    E = Event.from_indices(system.space, np.flatnonzero(den))
+    reference = ratio_program_by_phase1(system, den, DenominatorVanishesError)
+    for sense, vertex_value in (("min", (bayes @ num).min()), ("max", (bayes @ num).max())):
+        value = fractional_bounds(system, Event.from_indices(system.space, np.flatnonzero(num)), E, sense)
+        assert value == pytest.approx(reference.optimize(np.append(num, 0.0), sense).value, abs=1e-9)
+        assert value == pytest.approx(vertex_value, abs=1e-9)
+    lo, hi = np.array([c.rhs for c in conditionalize(system, E).constraints]).reshape(n, 2).T
+    atoms = np.eye(n + 1)[np.flatnonzero(den)]
+    values = reference.optimize_many(np.concatenate((atoms, -atoms)), "min")
+    on = den > 0
+    np.testing.assert_allclose(lo[on], np.maximum(0.0, values[: on.sum()]), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(hi[on], np.minimum(1.0, -values[on.sum() :]), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(lo[on], np.maximum(0.0, bayes[:, on].min(axis=0)), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(hi[on], np.minimum(1.0, bayes[:, on].max(axis=0)), rtol=0, atol=1e-9)
+    assert not lo[~on].any() and not hi[~on].any()
+
+
+def test_ratio_program_runs_no_phase1(monkeypatch):
+    """Fractional bounds and conditioning on a LinearSystem build their
+    program from the system's own tableau: no PreparedLp is constructed,
+    but for the box system conditioning returns."""
+    sp = simple_space("a", "b", "c", "d")
+    box = interval_to_linear_system(IntervalDistribution(sp, [0.1, 0.2, 0.0, 0.1], [0.4, 0.5, 0.3, 0.6]))
+    polytope = LinearSystem(sp, (constraint([1, -1, 0, 0], "<=", 0.2), constraint([0, 1, 1, 0], ">=", 0.3),
+                                 constraint([1, 0, 1, 0], "=", 0.5)))
+    built = []
+    init = PreparedLp.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(PreparedLp, "__init__", counting_init)
+    num, den = Event.of(sp, "a"), Event.of(sp, "a", "b", "c")
+    for S in (box, polytope):
+        for sense in ("min", "max"):
+            fractional_bounds(S, num, den, sense)
+        assert built == []
+        assert isinstance(conditionalize(S, den), LinearSystem)
+        assert len(built) == 1
+        built.clear()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_near_null_evidence_answers_right_or_refuses(seed):
+    """A system whose event E has upper probability eps: the rows
+    p(E) <= eps, and homogeneous rows lo_j p(E) <= p_j <= hi_j p(E) on E's
+    atoms, so the conditional box is known exactly whatever eps is. At or
+    below TAU_ZERO both calls refuse with their own error; above it, up to
+    1e-9, where the program is scaled by 1 / eps, an answer must be right
+    (1e-9) or the call raises a CredalError."""
+    rng = np.random.default_rng(seed)
+    k, rest = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+    n = k + rest
+    q = rng.dirichlet(np.ones(k))
+    lo, hi = q * rng.uniform(0.3, 1.0, k), q + rng.uniform(0.0, 0.3, k)
+    eps = float(rng.choice([1e-13, 1e-12, 5e-12, 1e-11, 1e-10, 1e-9]))
+    den = np.append(np.ones(k), np.zeros(rest))
+    scale = 10.0 ** rng.integers(-2, 3)
+    rows = [constraint(scale * den, "<=", scale * eps)]
+    for j in range(k):
+        rows += [constraint(np.eye(n)[j] - lo[j] * den, ">=", 0.0), constraint(np.eye(n)[j] - hi[j] * den, "<=", 0.0)]
+    if rng.random() < 0.5:
+        rows.append(constraint(np.eye(n)[k], ">=", 0.5 / rest))
+    sp = simple_space(*(f"w{j}" for j in range(n)))
+    system, E = LinearSystem(sp, tuple(rows)), Event.from_indices(sp, range(k))
+    first = Event.from_indices(sp, [0])
+    others_hi, others_lo = hi.sum() - hi, lo.sum() - lo
+    exact_lo, exact_hi = np.maximum(lo, 1.0 - others_hi), np.minimum(hi, 1.0 - others_lo)
+    if eps <= TAU_ZERO:
+        with pytest.raises(DenominatorVanishesError):
+            fractional_bounds(system, first, E, "max")
+        with pytest.raises(ZeroEvidenceEverywhereError):
+            conditionalize(system, E)
+        return
+    for sense, exact in (("min", exact_lo[0]), ("max", exact_hi[0])):
+        try:
+            assert fractional_bounds(system, first, E, sense) == pytest.approx(exact, abs=1e-9)
+        except CredalError:
+            pass
+    try:
+        box = conditionalize(system, E)
+    except CredalError:
+        return
+    got_lo, got_hi = np.array([c.rhs for c in box.constraints]).reshape(n, 2).T
+    np.testing.assert_allclose(got_lo[:k], exact_lo, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(got_hi[:k], exact_hi, rtol=0, atol=1e-9)
 
 
 def four_mass_cloud(seed: int) -> list:

@@ -114,7 +114,7 @@ def e_admissible(U: UtilityMatrix, S: CredalSet, tol: float = TAU_LP) -> Admissi
         V = np.stack([v.probs for v in S.vertices])
         return _report(U, V, S.vertices.__getitem__, tol)
     if isinstance(S, LinearSystem):
-        return _lp_admissible(U, S._prepared._rows, np.eye(S.space.size), tol)
+        return _lp_admissible(U, S._prepared._rows, None, tol)
     if isinstance(S, ParametricFamily):
         return _family_admissible(U, S, tol)
     raise EmptySetError("unsupported credal set")
@@ -167,22 +167,27 @@ def e_admissible_over_hull(
     return _lp_admissible(U, (np.ones((1, len(V))), np.ones(1), np.zeros(1)), V, tol)
 
 
-def _lp_admissible(U: UtilityMatrix, rows, V: np.ndarray, tol: float) -> AdmissibilityReport:
-    """E-admissibility over the members V.T @ x, for x >= 0 meeting the
-    stacked rows (A, b, sign), which hold sum(x) = 1, from one program
-    over (x, z) with the added rows z >= eu_b . x: the largest eu_a . x - z
-    is a's best margin, and one lockstep ``optimize_many`` pass over the
-    actions returns the checked witness of each. Utilities are shifted to
-    be nonnegative first, which moves no margin as sum(x) = 1, so z >= 0
-    cuts nothing."""
-    EU = U.u @ V.T  # actions x LP variables
-    EU -= EU.min()
-    k = len(V)
+def _lp_admissible(U: UtilityMatrix, rows, V: np.ndarray | None, tol: float) -> AdmissibilityReport:
+    """E-admissibility over the members V.T @ x (x itself if V is None),
+    for x >= 0 meeting the stacked rows (A, b, sign), which hold sum(x) = 1,
+    from one program over (x, z) with the added rows z >= eu_b . x: the
+    largest eu_a . x - z is a's best margin, and one lockstep
+    ``optimize_many`` pass over the actions returns the checked witness of
+    each. Utilities are shifted to be nonnegative first, which moves no
+    margin as sum(x) = 1, so z >= 0 cuts nothing. Each distinct witness is
+    one member, and the members go in order of the first action that ends
+    on them, so ``_report`` breaks ties as it would over one per action."""
     A, b, sign = rows
-    A = np.block([[A, np.zeros((len(A), 1))], [EU, -np.ones((len(EU), 1))]])
-    prepared = PreparedLp(A, np.append(b, np.zeros(len(EU))), np.append(sign, np.ones(len(EU))))
-    W, owner = prepared._solve_many(np.column_stack([EU, -np.ones(len(EU))]), "max")[1:]
-    P = _clipped_renormalised(W[owner, :k] @ V)
+    m, k = A.shape
+    G = np.zeros((m + len(U.actions), k + 1))  # A's rows, then eu_b . x - z <= 0
+    G[:m, :k], G[m:, k] = A, -1.0
+    EU = G[m:, :k]
+    EU[:] = U.u if V is None else U.u @ V.T
+    EU -= EU.min()
+    prepared = PreparedLp(G, np.concatenate((b, np.zeros(len(EU)))), np.concatenate((sign, np.ones(len(EU)))))
+    W, owner = prepared._solve_many(G[m:], "max")[1:]
+    P = W[list(dict.fromkeys(owner.tolist())), :k]  # the distinct witnesses, by first action
+    P = _clipped_renormalised(P if V is None else P @ V)
     found = [make_distribution(U.space, p) for p in P]
     return _report(U, P, found.__getitem__, tol)
 

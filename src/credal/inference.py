@@ -529,26 +529,34 @@ def _chains_all_tight(V: np.ndarray, bel: np.ndarray) -> bool:
     """Whether conv(V) (points as rows) holds every marginal vector m_pi of
     the 2-monotone Bel, i.e. equals its core (Shapley 1971). A convex
     combination of points attaining Bel on every set of pi's chain uses
-    only points that do, and such a point is m_pi; so a depth-first walk
-    over states (A, bitmask of the points tight on every set of the chain
-    so far), each visited once, fails at the first chain no point follows.
+    only points that do, and such a point is m_pi; so a walk over states
+    (A, the points tight on every set of the chain so far), one level |A|
+    at a time, fails at the first chain no point follows. A state is one
+    key of 64-bit words: A in the low n bits, then from the next byte one
+    bit per point. tight[B] is the key of B with the bits of the points
+    with p(B) = Bel(B) (to TAU_LP), found a block of points at a time, so a
+    step from A to B = A + i sets i's bit and ANDs with tight[B]. One sort
+    per level puts a key with no point first and next to its copies.
     """
-    n = V.shape[1]
-    tight = [0] * len(bel)  # per subset A, the bitmask of points p with p(A) = Bel(A)
-    masses = np.zeros(len(bel))
-    for j, v in enumerate(V):
-        masses[1 << np.arange(n)] = v
-        meets = (zeta_transform(masses) - bel <= TAU_LP).tolist()
-        tight = [t | m << j for t, m in zip(tight, meets)]
-    stack = [(0, (1 << len(V)) - 1)]
-    seen = set()  # state (B, left) as the one int left << n | B: half a tuple's memory
-    while stack:
-        A, points = stack.pop()
-        for B in [A | 1 << i for i in range(n)]:  # an i in A gives (A, points) back
-            left = points & tight[B]
-            if not left:
-                return False
-            if left << n | B not in seen:
-                seen.add(left << n | B)
-                stack.append((B, left))
+    n, k = V.shape[1], len(V)
+    head = (n + 7) // 8  # the key's bytes holding A
+    tight = np.zeros((len(bel), (head + (k + 7) // 8 + 7) // 8), dtype="<u8")
+    tight[:, 0] = np.arange(len(bel))
+    block = max(1, 2**17 >> n) * 8  # points at a time, so the sums hold O(2^n) entries
+    for j in range(0, k, block):
+        sums = np.zeros((min(block, k - j), len(bel)))  # p(B) = p(B - i) + p_i, i B's top atom
+        for i in range(n):
+            sums[:, 1 << i : 2 << i] = sums[:, : 1 << i] + V[j : j + block, i, None]
+        tight.view(np.uint8)[:, head + j // 8 : head + (j + len(sums) + 7) // 8] = np.packbits(
+            sums - bel <= TAU_LP, axis=0, bitorder="little").T
+    keys, bit = tight[:1], np.uint64(1) << np.arange(n, dtype=np.uint64)  # every point is tight on {}
+    for _ in range(n):
+        parent, i = np.nonzero(keys[:, :1] & bit == 0)  # each i outside A
+        keys = keys[parent]
+        keys[:, 0] |= bit[i]
+        keys &= tight[keys[:, 0] & len(bel) - 1]
+        keys = keys[np.lexsort(keys.T)]
+        if keys[0, 0] < 1 << 8 * head and not keys[0, 1:].any():
+            return False  # no point is tight on every set of this chain
+        keys = keys[np.append(True, (keys[1:] != keys[:-1]).any(axis=1))]
     return True

@@ -397,7 +397,9 @@ class PreparedLp:
         """``optimize_many``'s values, its distinct checked witnesses and each
         row's witness (-1: none). A pass holds one tableau and one reduced-cost
         row per objective within ``_LIVE_ENTRIES``, so each objective stays in
-        its pass until it is optimal or unbounded."""
+        its pass until it is optimal or unbounded. An optimal one takes its
+        tableau's basic solution, read off directly while a single tableau is
+        left, as at a pass's first step, where every program may end."""
         if self._tab is None:
             raise InfeasibleSystemError(f"program is infeasible (residual {self.infeasibility})")
         rows = np.asarray(rows, dtype=float)
@@ -415,10 +417,15 @@ class PreparedLp:
                 enter = Z.argmin(axis=1) if dantzig else (Z < -TAU_LP).argmax(axis=1)
                 live = Z[np.arange(len(Z)), enter] < -TAU_LP
                 if not live.all():  # the rest take their tableau's basic solution
-                    ends, which = _groups(on[~live], len(Ts))
+                    if len(Ts) == 1:
+                        which, X = 0, np.zeros((1, width))
+                        X[0, bases[0]] = Ts[0, :, -1]
+                    else:
+                        ends, which = _groups(on[~live], len(Ts))
+                        X = np.zeros((len(ends), width))
+                        X[np.arange(len(ends))[:, None], bases[ends]] = Ts[ends, :, -1]
                     owner[ids[~live]] = sum(map(len, found)) + which
-                    found.append(np.zeros((len(ends), width)))
-                    found[-1][np.arange(len(ends))[:, None], bases[ends]] = Ts[ends, :, -1]
+                    found.append(X)
                     if not live.any():
                         break
                     ids, Z, on, enter = ids[live], Z[live], on[live], enter[live]

@@ -22,6 +22,10 @@ the per-class windows and the one ``extremes`` call per distinct set of
 class sums that replaced them. ``ratio_program_by_phase1`` is the former
 Charnes-Cooper program, a fresh phase 1 over the homogenised rows, to
 check the program derived from the tableau of max p(E).
+``chains_all_tight_by_dfs`` is the former chain walk, depth first over
+Python-int bitmasks, to check the level-at-a-time walk over key arrays;
+``lp_admissible_per_action`` is the former E-admissibility program, with
+one member per action, to check the one member per distinct witness.
 """
 
 import itertools
@@ -29,11 +33,12 @@ import types
 
 import numpy as np
 
-from credal.distributions import condition_distribution
+from credal.decisions import _report
+from credal.distributions import condition_distribution, make_distribution
 from credal.errors import NumericalFailureError, ZeroEvidenceError, ZeroEvidenceEverywhereError
-from credal.inference import core_of_belief
+from credal.inference import core_of_belief, zeta_transform
 from credal.linprog import PIVOT_TOL, PreparedLp, hull_membership
-from credal.sets import _member_from_witness
+from credal.sets import _clipped_renormalised, _member_from_witness
 from credal.tolerances import TAU_LP, TAU_ZERO
 
 
@@ -226,11 +231,47 @@ def core_vertices(space, bel):
 
 def vertex_set_equals_core_by_hulls(S, bel):
     """Whether conv(S) equals the core of bel, for any set function bel:
-    every vertex of the core's rows passes the hull-membership program."""
+    every vertex of the core's rows passes the hull-membership program.
+    A core vertex within 1e-9 (sup norm) of a point of S is taken as that
+    point first: the hull program judges rows equilibrated by their largest
+    coefficient, so a coordinate near 1e-11 on every point is scaled up so
+    far that a vertex 1e-19 off a point can read as outside."""
+    points = np.stack([p.probs for p in S.vertices])
+
+    def snapped(v):
+        off = np.abs(points - v).max(axis=1)
+        return points[off.argmin()] if off.min() <= 1e-9 else v
+
     return all(
-        hull_membership(_member_from_witness(S.space, v), list(S.vertices)).inside
+        hull_membership(_member_from_witness(S.space, snapped(v)), list(S.vertices)).inside
         for v in core_vertices(S.space, bel)
     )
+
+
+def chains_all_tight_by_dfs(V, bel):
+    """The former chain walk: whether conv(V) (points as rows) holds every
+    marginal vector of the 2-monotone bel, by a depth-first walk over
+    states (A, bitmask of the points tight on every set of the chain so
+    far), each visited once, that fails at the first chain no point follows."""
+    n = V.shape[1]
+    tight = [0] * len(bel)  # per subset A, the bitmask of points p with p(A) = Bel(A)
+    masses = np.zeros(len(bel))
+    for j, v in enumerate(V):
+        masses[1 << np.arange(n)] = v
+        meets = (zeta_transform(masses) - bel <= TAU_LP).tolist()
+        tight = [t | m << j for t, m in zip(tight, meets)]
+    stack = [(0, (1 << len(V)) - 1)]
+    seen = set()
+    while stack:
+        A, points = stack.pop()
+        for B in [A | 1 << i for i in range(n)]:
+            left = points & tight[B]
+            if not left:
+                return False
+            if left << n | B not in seen:
+                seen.add(left << n | B)
+                stack.append((B, left))
+    return True
 
 
 def is_two_monotone(bel, n, tol=1e-8):
@@ -449,3 +490,19 @@ def ratio_program_by_phase1(system, den, refusal):
     A, b, sign = system._prepared._rows
     A = np.vstack([np.column_stack([A, -b]), np.append(den, 0.0)])
     return PreparedLp(A, np.append(np.zeros(len(b)), 1.0), np.append(sign, 0.0))
+
+
+def lp_admissible_per_action(U, rows, V, tol):
+    """The former E-admissibility program over the members V.T @ x (V the
+    identity for a LinearSystem): the (x, z) rows stacked by ``np.block``,
+    one ``_solve_many`` pass over the actions, and one member per action."""
+    EU = U.u @ V.T
+    EU -= EU.min()
+    k = len(V)
+    A, b, sign = rows
+    A = np.block([[A, np.zeros((len(A), 1))], [EU, -np.ones((len(EU), 1))]])
+    prepared = PreparedLp(A, np.append(b, np.zeros(len(EU))), np.append(sign, np.ones(len(EU))))
+    W, owner = prepared._solve_many(np.column_stack([EU, -np.ones(len(EU))]), "max")[1:]
+    P = _clipped_renormalised(W[owner, :k] @ V)
+    found = [make_distribution(U.space, p) for p in P]
+    return _report(U, P, found.__getitem__, tol)

@@ -1,8 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import vertices_of
+from oracles import lp_admissible_per_action, vertices_of
 
 from credal import (
     IntervalDistribution,
@@ -24,8 +26,9 @@ from credal import (
     pareto_optimal,
     simple_space,
 )
-from credal import linprog
+from credal import decisions, linprog
 from credal.errors import EmptyGroupError, SpaceMismatchError, UnknownActionError
+from credal.tolerances import TAU_LP
 
 
 @pytest.fixture
@@ -367,3 +370,57 @@ def test_box_plus_row_admissibility_matches_the_hull_of_its_vertices(seed):
         assert d.certificate == pytest.approx(h.certificate, abs=1e-9)
         if d.admissible:
             assert S.contains(d.witness)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_lp_admissibility_keeps_one_member_per_witness(seed, hull):
+    """On a random polytope (2 to 5 rows through a member, on 3 to 8
+    atoms) or the hull of 1 to 6 members, with 1 to 9 actions, some of
+    them repeated: the flags are those of the former program with one
+    member per action, ``oracles.lp_admissible_per_action``, and the
+    witnesses and certificates agree with it (bit for bit on a system,
+    whose members are the program's own witnesses). One Distribution is
+    built per distinct witness of the program, and entries whose witnesses
+    are equal share it."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    space = simple_space(*(f"w{j}" for j in range(n)))
+    k = int(rng.integers(1, 10))
+    u = rng.normal(size=(k, n))
+    u[rng.random(k) < 0.2] = u[0]
+    U = UtilityMatrix(tuple(f"a{i}" for i in range(k)), space, u)
+    if hull:
+        V = rng.dirichlet(np.ones(n), size=int(rng.integers(1, 7)))
+        members = [make_distribution(space, v) for v in V]
+        rows = (np.ones((1, len(V))), np.ones(1), np.zeros(1))
+    else:
+        x0 = rng.dirichlet(np.ones(n))
+        cuts = []
+        for _ in range(int(rng.integers(2, 6))):
+            a = rng.normal(size=n)
+            cuts.append(constraint(a, "<=", float(a @ x0) + rng.uniform(0.0, 0.3)))
+        S = LinearSystem(space, tuple(cuts))
+        V, rows = np.eye(n), S._prepared._rows
+    solved, solve_many = [], linprog.PreparedLp._solve_many
+
+    def spy(prepared, objectives, sense):
+        solved.append(solve_many(prepared, objectives, sense))
+        return solved[-1]
+
+    with (
+        mock.patch.object(linprog.PreparedLp, "_solve_many", spy),
+        mock.patch.object(decisions, "make_distribution", wraps=make_distribution) as made,
+    ):
+        new = e_admissible_over_hull(U, members) if hull else e_admissible(U, S)
+    assert made.call_count == len(solved[0][1])
+    old = lp_admissible_per_action(U, rows, V, TAU_LP)
+    assert new.admissible_actions == old.admissible_actions
+    for e, o in zip(new.entries, old.entries):
+        assert e.certificate == pytest.approx(o.certificate, abs=1e-14)
+        if e.admissible and hull:
+            assert e.witness.probs == pytest.approx(o.witness.probs, abs=1e-14)
+        elif e.admissible:
+            assert np.array_equal(e.witness.probs, o.witness.probs)
+    shown = [e.witness for e in new.entries if e.admissible]
+    assert len({id(w) for w in shown}) == len({w.probs.tobytes() for w in shown})

@@ -3,11 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     chain_value,
+    chains_all_tight_by_dfs,
     conditionalize_by_vertex,
     core_vertices,
     is_two_monotone,
@@ -1000,10 +1001,18 @@ def not_two_monotone_test_set(kind: str, seed: int) -> VertexSet | None:
 
 
 @given(kind=st.sampled_from(("cloud", "core", "core-dropped")), seed=st.integers(0, 2**32 - 1))
+@example("core", 2612487)
+@example("core", 149690572)
+@example("core", 10057091)
+@example("core", 2835351063)
+@example("core", 2289360809)
+@example("core", 578991616)
 @settings(max_examples=20, deadline=None)
 def test_core_check_by_double_description_matches_hull_programs(kind, seed):
     """Envelopes that are not 2-monotone: the core's vertices come from
-    double description, checked against a hull program per vertex."""
+    double description, checked against a hull program per vertex. The
+    examples are core sets with a coordinate near 1e-11 on every point,
+    where the hull program alone reads a core vertex as outside."""
     S = not_two_monotone_test_set(kind, seed)
     if S is None:
         return  # 2-monotone: the chain walk decides
@@ -1040,6 +1049,63 @@ def test_box_vertex_sets_above_five_atoms_are_decided(n):
     assert is_two_monotone(whole.bel.values, n)
     assert whole.set_equals_core is True
     assert dropped.set_equals_core is False
+
+
+def distinct_marginal_vectors(bel: np.ndarray, n: int) -> np.ndarray:
+    """Every distinct marginal vector of bel, built one atom at a time over
+    states (A, the rises of bel along a chain to A), each kept once, so a
+    belief function with few focal sets takes few states at any n."""
+    states = {(0, (0.0,) * n)}
+    for _ in range(n):
+        states = {(A | 1 << i, v[:i] + (bel[A | 1 << i] - bel[A],) + v[i + 1 :])
+                  for A, v in states for i in range(n) if not A >> i & 1}
+    return np.array(sorted({v for _, v in states}))
+
+
+@given(
+    kind=st.sampled_from(("point", "marginal", "dropped", "mixed", "cloud")),
+    n=st.integers(2, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_chain_walk_matches_the_depth_first_walk(kind, n, seed):
+    """The level-at-a-time walk gives the verdict of the former depth-first
+    walk, ``oracles.chains_all_tight_by_dfs``, on 1 to 200 points: one
+    point; the marginal vectors of a belief function (masses in 64ths on
+    the singletons and on up to three sets of 2 to 4 atoms); those but one;
+    those with interior mixtures; a random cloud. Past 56 points (48 at
+    n = 9) a key takes more than one word."""
+    rng = np.random.default_rng(seed)
+    if kind in ("point", "cloud"):
+        V = rng.dirichlet(np.ones(n), size=1 if kind == "point" else int(rng.integers(1, 201)))
+        sums = np.zeros((len(V), 2**n))
+        sums[:, 1 << np.arange(n)] = V
+        bel = zeta_transform(sums).min(axis=0)
+    else:
+        masses = np.zeros(2**n)  # in 64ths, so every subset sum is exact
+        for _ in range(int(rng.integers(1, 4))):
+            masses[sum(1 << int(i) for i in rng.choice(n, min(n, int(rng.integers(2, 5))), replace=False))] += rng.integers(1, 9)
+        masses[1 << np.arange(n)] += rng.integers(0, 5, n) * (rng.random(n) < 0.7)
+        masses[1] += 64 - masses.sum()
+        bel = zeta_transform(masses / 64)
+        V = distinct_marginal_vectors(bel, n)
+        if kind == "dropped":
+            V = np.delete(V, int(rng.integers(len(V))), axis=0)
+        elif kind == "mixed":
+            V = np.vstack([V, rng.dirichlet(np.ones(len(V)), size=int(rng.integers(1, 201 - len(V)))) @ V])
+        V = rng.permutation(V)
+    walked = inference._chains_all_tight(V, bel)
+    assert walked is chains_all_tight_by_dfs(V, bel)
+    if kind in ("point", "marginal", "mixed"):
+        assert walked is True
+
+
+def test_one_point_set_equals_its_core_at_16_atoms():
+    """One point is the core of its own (additive) envelope; at 16 atoms
+    the walk passes all 2^16 sets, one state each."""
+    space = simple_space(*(f"w{j}" for j in range(16)))
+    p = make_distribution(space, np.random.default_rng(16).dirichlet(np.ones(16)))
+    assert mobius_report(VertexSet((p,))).set_equals_core is True
 
 
 def core_check_test_system(kind: str, seed: int) -> LinearSystem:

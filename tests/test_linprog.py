@@ -220,6 +220,29 @@ def test_optimize_many_matches_optimize_row_by_row(seed, kind, gray, block, blan
             assert made == pivots["optimize"]
 
 
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["polytope", "box", "open"]))
+@settings(max_examples=60, deadline=None)
+def test_objectives_optimal_at_the_phase1_basis_make_no_pivot(seed, kind):
+    """Objectives that cost nothing on the phase-1 basis's columns and
+    nothing below 0 elsewhere are optimal there, with every reduced cost
+    >= 0: ``_solve_many`` retires them all at its first step on the one
+    tableau, without a pivot, and each row's value and witness are those
+    of ``optimize``; every row shares the one basic solution."""
+    n, rows = batch_program(seed, kind)
+    prepared = PreparedLp(*_stack(n, rows))
+    rng = np.random.default_rng(seed + 3)
+    W = rng.uniform(0.0, 2.0, size=(int(rng.integers(1, 9)), n)) * (rng.random(n) < 0.7)
+    W[:, prepared._tab.basis[prepared._tab.basis < n]] = 0.0
+    for sense, objectives in (("min", W), ("max", -W)):
+        with mock.patch.object(linprog, "_pivot_stack", side_effect=AssertionError("pivoted")):
+            values, witnesses, owner = prepared._solve_many(objectives, sense)
+        assert len(witnesses) == 1 and np.all(owner == 0)
+        for w, got in zip(objectives, values):
+            res = prepared.optimize(w, sense)
+            assert res.status == "OPTIMAL" and got == pytest.approx(res.value, abs=1e-15)
+            assert np.array_equal(witnesses[0], res.witness)
+
+
 def assert_pivots_as_optimize(prepared: PreparedLp, W: np.ndarray):
     """Alone in an optimize_many call, each row of W makes optimize's
     pivots, row and column, in the same order."""

@@ -6,7 +6,9 @@ A credal set is one of three representations, and each answers
 over its members, with a member attaining each. Envelopes and bet
 verdicts read their answers from it. ``ranges(rows)`` gives the same
 lowest and highest values, without members, for a stack of weight rows
-at once; lower envelopes read theirs from it.
+at once; lower envelopes read theirs from it. On a ``LinearSystem`` both
+start phase 2 from the prepared program's start bank, built by the first
+of them and kept (see ``linprog.PreparedLp``).
 
 * ``VertexSet`` — a finite (generally nonconvex) set of distributions.
   Polytopes are represented by ``LinearSystem``, not by their vertex
@@ -174,9 +176,9 @@ class LinearSystem:
 
     def extremes(self, weights: np.ndarray):
         """(lowest, member attaining it, highest, member attaining it) of
-        weights . p over the system, from one min and one max LP."""
-        lo = self.optimize(weights, "min")
-        hi = self.optimize(weights, "max")
+        weights . p over the system, from one min and one max LP, each
+        starting from a tableau of the prepared program's start bank."""
+        lo, hi = self._prepared.extremes(weights)
         return (
             lo.value, _member_from_witness(self.space, lo.witness),
             hi.value, _member_from_witness(self.space, hi.witness),
@@ -184,10 +186,9 @@ class LinearSystem:
 
     def ranges(self, rows: np.ndarray):
         """(lowest, highest) of row . p over the system for each row of weights,
-        from one lockstep ``optimize_many`` call over the rows and their negations."""
-        rows = np.asarray(rows, dtype=float)  # a uint8 row negated would wrap
-        lows, neg_highs = np.split(self._prepared.optimize_many(np.concatenate((rows, -rows)), "min"), 2)
-        return lows, -neg_highs
+        from one lockstep pass over the rows and their negations, each
+        starting from a tableau of the prepared program's start bank."""
+        return self._prepared.ranges(rows)
 
     def contains(self, d: Distribution, tol: float = TAU_LP) -> bool:
         """Whether d meets every explicit row to tol, each row divided by

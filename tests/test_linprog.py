@@ -50,7 +50,8 @@ def bounds_constraints(n, lo, hi):
 
 
 from oracles import (
-    marginal_vectors, ratio_program_by_phase1, run_simplex as reference_simplex, vertices_of as oracle_vertices,
+    marginal_vectors, ratio_program_by_phase1, run_simplex as reference_simplex, two_phase,
+    vertices_of as oracle_vertices,
 )
 
 
@@ -429,6 +430,78 @@ def test_farkas_ray_of_an_infeasible_program():
     assert y @ b == pytest.approx(lp.infeasibility)
     assert y[0] <= 0 <= y[1]  # <= rows weigh in with y <= 0, >= rows with y >= 0
     assert PreparedLp(*_stack(2, rows[:1])).farkas is None
+
+
+def homogeneous_program(seed: int):
+    """(n, rows) on 2 to 6 atoms: rows x_j >= 0 on about half the atoms, one
+    to three dense rows a @ x >= 0 scaled by 10^-3 to 10^3, sometimes a <= row
+    through a random point, and the simplex row, in random order. A dense row
+    with every coefficient negative (about one in seven) leaves no
+    distribution, and random dense rows can exclude each other, so about
+    half the programs are infeasible."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    rows = [constraint(e, ">=", 0.0) for e in np.eye(n)[rng.random(n) < 0.5]]
+    for _ in range(int(rng.integers(1, 4))):
+        a = rng.normal(size=n)
+        if rng.random() < 0.15:
+            a = -np.abs(a)
+        rows.append(constraint(a * 10.0 ** rng.integers(-3, 4), ">=", 0.0))
+    if rng.random() < 0.5:
+        a = rng.normal(size=n)
+        rows.append(constraint(a, "<=", float(a @ rng.dirichlet(np.ones(n))) + 0.1))
+    rows.append(constraint(np.ones(n), "=", 1.0))
+    return n, [rows[i] for i in rng.permutation(len(rows))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_homogeneous_ge_rows_start_on_their_slacks(seed):
+    """A >= row with rhs 0 is negated, so its slack starts basic at 0 and
+    the row takes no artificial. Each status and value must match the
+    two-phase simplex run with an artificial on every row as given
+    (``oracles.two_phase``) to 1e-9; an infeasible program's Farkas ray
+    weighs every row as given, y <= 0 on <= rows and y >= 0 on >= rows,
+    with y @ A <= 0 < y @ b = its residual."""
+    n, rows = homogeneous_program(seed)
+    A, b, sign = _stack(n, rows)
+    lp = PreparedLp(A, b, sign)
+    objective = np.random.default_rng(seed + 1).normal(size=n)
+    for sense in ("min", "max"):
+        res = lp.optimize(objective, sense)
+        status, value = two_phase(A, b, sign, objective, sense)
+        assert res.status == status
+        if status == "OPTIMAL":
+            assert res.value == pytest.approx(value, abs=1e-9)
+            assert _violation((A, b, sign), res.witness).max() <= 10 * TAU_LP
+    if lp.feasible:
+        assert lp.farkas is None
+        return
+    y = lp.farkas
+    assert np.all(y[sign > 0] <= 0) and np.all(y[sign < 0] >= 0)
+    assert np.all(y @ A <= 1e-9 * (np.abs(y) @ np.abs(A)).max())
+    assert y @ b > 0 and y @ b == pytest.approx(lp.infeasibility, rel=1e-9, abs=1e-12)
+
+
+def test_a_conditioned_box_takes_one_artificial():
+    """``conditionalize`` on a LinearSystem returns a box whose atoms off
+    the event carry rows p_j >= 0 and p_j <= 0, and whose atoms on it with
+    lower end 0 carry p_j >= 0. None of those rows needs an artificial, so
+    building this fixed conditioned box runs phase 1 for the simplex row
+    alone: 2 pivots, where an artificial on each p_j >= 0 row made 10."""
+    space = simple_space(*(f"w{j}" for j in range(8)))
+    rng = np.random.default_rng(7)
+    x0 = rng.dirichlet(np.ones(8))
+    rows = []
+    for _ in range(6):
+        a = rng.normal(size=8)
+        rows.append(constraint(a, "<=", float(a @ x0) + 0.01))
+    box = conditionalize(LinearSystem(space, tuple(rows)), Event.from_indices(space, [0, 1, 2, 3, 4]))
+    assert sum(c.relation == ">=" and c.rhs == 0.0 for c in box.constraints) == 8
+    made, pivot = [], _Tableau.pivot
+    with mock.patch.object(_Tableau, "pivot", lambda tab, *args: made.append(1) or pivot(tab, *args)):
+        LinearSystem(box.space, box.constraints)
+    assert len(made) == 2
 
 
 @pytest.mark.parametrize(

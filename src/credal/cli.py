@@ -133,9 +133,10 @@ def cmd_condition(args) -> int:
             print("  " + "  ".join(f"{x:.6g}" for x in v.probs))
     elif isinstance(out, LinearSystem):
         print("conditional bounds (box form):")
-        lows, highs = np.clip(out.ranges(np.eye(out.space.size)), 0.0, 1.0)
+        # conditionalize writes the box as p_j >= lo_j, p_j <= hi_j, atom by atom
+        bounds = np.reshape([c.rhs for c in out.constraints], (-1, 2))
         _print_table(
-            [(a, f"{lo:.6g}", f"{hi:.6g}") for a, lo, hi in zip(out.space.atoms, lows, highs)],
+            [(a, f"{lo:.6g}", f"{hi:.6g}") for a, (lo, hi) in zip(out.space.atoms, bounds)],
             header=("atom", "lower", "upper"),
         )
     else:

@@ -4,8 +4,10 @@ A small two-phase tableau simplex for the tiny programs that arise from
 credal sets (at most dozens of variables). Variables are nonnegative;
 callers split free variables. Dantzig pricing switches to Bland's rule
 after an iteration threshold so degenerate programs cannot cycle.
-``_run_simplex`` serves phase 1 and ``optimize``: it works on a tableau
-whose last row is the reduced-cost row of the objective.
+``_run_simplex`` works on a tableau whose last row is the reduced-cost
+row of the objective; it serves phase 1 and ``_phase2``, phase 2 for one
+objective. Phase 2 runs there or, for a stack, in ``_solve_many``, and
+nowhere else.
 
 ``PreparedLp`` is the one kernel path. It takes a program as stacked
 rows: A, b and a per-row sign (+1 for <=, 0 for =, -1 for >=); the
@@ -24,18 +26,19 @@ objectives as ``_LIVE_ENTRIES`` holds tableaux, so a step's distinct
 tableaux, one at most per objective, fit there. ``extremes`` (one
 objective, both senses) and ``ranges`` (a stack, both senses, in lockstep)
 start each objective from a start bank instead, built on a program's first
-such call: for each variable j the final tableau of max x_j, of which an
-objective takes the one whose solution scores best on it (an advanced
-starting basis, Bixby 1992). On the benchmark's ``lp-sweep`` systems an
-event's LP then takes about one pivot instead of three, and a sweep about
-half the pivots in two thirds of the steps. Every witness is checked at
-10 * TAU_LP with one product against the rows as a <= stack (an = row
-as a and -a), in optimize_many once per distinct witness. Pivoting is
-deterministic. An infeasible program keeps the duals of its failed
-phase 1 as a Farkas ray, off which ``hull_membership`` reads its
-separating hyperplane. A ratio program is one pivot from the optimal
-tableau of max p(E) (``_charnes_cooper``). ``solve`` prepares a program
-and optimizes it once; it is public API, and the library no longer calls it.
+such call: for each variable j the tableau ``_phase2`` of max x_j ends
+on, of which an objective takes the one whose witness scores best on it
+(an advanced starting basis, Bixby 1992). On the benchmark's ``lp-sweep``
+systems an event's LP then takes about one pivot instead of three, and a
+sweep about half the pivots in two thirds of the steps. Every witness, a
+bank's included, is checked at 10 * TAU_LP with one product against the
+rows as a <= stack (an = row as a and -a), in optimize_many once per
+distinct witness. Pivoting is deterministic. An infeasible program
+keeps the duals of its failed phase 1 as a Farkas ray, off which
+``hull_membership`` reads its separating hyperplane. A ratio program is
+one pivot from the optimal tableau of max p(E) (``_charnes_cooper``).
+``solve`` prepares a program and optimizes it once; it is public API, and
+the library no longer calls it.
 """
 
 from __future__ import annotations
@@ -406,18 +409,15 @@ class PreparedLp:
         return lows, -neg_highs
 
     def _starts(self):
-        """The start bank, built on first use: for each variable j, the final
-        tableau of max x_j from the phase-1 tableau (read-only, stacked), its
-        basis and its solution, a row of X. It depends only on the program.
+        """The start bank, built on first use: for each variable j, the
+        tableau that ``_phase2`` of max x_j ends on (read-only, stacked), its
+        basis and its witness, a row of X. It depends only on the program.
         None if the program is infeasible."""
         if self._bank is None and self._tab is not None:
-            tabs = [self._tab.copy() for _ in range(self.n_vars)]
-            for tab, cost in zip(tabs, self._cost(np.eye(self.n_vars), "max")):
-                tab.price(cost)
-                _run_simplex(tab, self.bland_after, self.max_iter)
-            Ts, bases = np.stack([t.T for t in tabs]), np.stack([t.basis for t in tabs])
+            runs = [self._phase2(e, "max") for e in np.eye(self.n_vars)]
+            Ts, bases = np.stack([t.T for _, t in runs]), np.stack([t.basis for _, t in runs])
             Ts.flags.writeable = bases.flags.writeable = False
-            self._bank = Ts, bases, self._shifted(np.stack([t.solution()[: self.n_vars] for t in tabs]))
+            self._bank = Ts, bases, np.stack([res.witness for res, _ in runs])
         return self._bank
 
     def _phase2(self, objective, sense: str, start: _Tableau | None = None):

@@ -202,23 +202,16 @@ class LinearSystem:
         return _member_from_witness(self.space, self._prepared.feasible_point())
 
     def sample(self, k: int, rng: np.random.Generator) -> list[Distribution]:
-        """Random vertices from random objectives, plus mixtures of them."""
+        """k mixtures of random vertices: the minimizers of min(k, max(4, 2n))
+        normal objectives, from one lockstep pass (the system is bounded, so
+        each has one), each mixture a Dirichlet draw over them."""
         n = self.space.size
-        points: list[np.ndarray] = []
-        n_lp = min(k, max(4, n * 2))
-        for _ in range(n_lp):
-            res = self.optimize(rng.normal(size=n), "min")
-            if res.status == "OPTIMAL":
-                points.append(np.clip(res.witness, 0.0, 1.0))
-        if not points:
-            points = [self.a_member().probs]
+        objectives = rng.normal(size=(min(k, max(4, n * 2)), n))
+        W, owner = self._prepared._solve_many(objectives, "min")[1:]
+        points = np.clip(W[owner], 0.0, 1.0)
         out = []
         for _ in range(k):
-            if len(points) == 1:
-                mix = points[0]
-            else:
-                w = rng.dirichlet(np.ones(len(points)))
-                mix = np.einsum("i,ij->j", w, np.array(points))
+            mix = points[0] if len(points) == 1 else np.einsum("i,ij->j", rng.dirichlet(np.ones(len(points))), points)
             out.append(make_distribution(self.space, mix / mix.sum()))
         return out
 

@@ -26,6 +26,10 @@ check the program derived from the tableau of max p(E).
 Python-int bitmasks, to check the level-at-a-time walk over key arrays;
 ``lp_admissible_per_action`` is the former E-admissibility program, with
 one member per action, to check the one member per distinct witness.
+``start_bank_by_simplex`` is the former start bank, n simplex runs of its
+own, to check the bank that ``_phase2`` builds; ``sample_by_optimize`` is
+the former ``LinearSystem.sample``, one ``optimize`` per objective, to
+check the one lockstep pass.
 """
 
 import itertools
@@ -506,3 +510,36 @@ def lp_admissible_per_action(U, rows, V, tol):
     P = _clipped_renormalised(W[owner, :k] @ V)
     found = [make_distribution(U.space, p) for p in P]
     return _report(U, P, found.__getitem__, tol)
+
+
+def start_bank_by_simplex(prepared):
+    """The start bank as the kernel built it before: for each variable j, a
+    copy of the phase-1 tableau priced for max x_j and run by
+    ``run_simplex``, stacked with its basis, and its basic solution as the
+    program's x, unchecked."""
+    n = prepared.n_vars
+    tabs = [prepared._tab.copy() for _ in range(n)]
+    for tab, cost in zip(tabs, prepared._cost(np.eye(n), "max")):
+        tab.price(cost)
+        run_simplex(tab, prepared.bland_after, prepared.max_iter)
+    X = prepared._shifted(np.stack([t.solution()[:n] for t in tabs]))
+    return np.stack([t.T for t in tabs]), np.stack([t.basis for t in tabs]), X
+
+
+def sample_by_optimize(S, k, rng):
+    """``LinearSystem.sample`` as it was: one ``optimize`` per objective,
+    each drawn as it is solved, a member of the system standing in when
+    none is optimal, then k Dirichlet mixtures of the minimizers."""
+    n = S.space.size
+    points = []
+    for _ in range(min(k, max(4, n * 2))):
+        res = S.optimize(rng.normal(size=n), "min")
+        if res.status == "OPTIMAL":
+            points.append(np.clip(res.witness, 0.0, 1.0))
+    if not points:
+        points = [S.a_member().probs]
+    out = []
+    for _ in range(k):
+        mix = points[0] if len(points) == 1 else np.einsum("i,ij->j", rng.dirichlet(np.ones(len(points))), np.array(points))
+        out.append(make_distribution(S.space, mix / mix.sum()))
+    return out

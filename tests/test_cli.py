@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from credal import cli, linprog
 from credal.cli import main
+from credal.fileio import credal_from_obj, event_from_atoms, load_problem
 
 
 def write(tmp_path, name, obj):
@@ -132,6 +135,64 @@ def test_condition_round_trips_into_envelope(bounds_file, tmp_path, capsys):
     assert main(["envelope", str(path), "--event", "w1"]) == 0
     out = capsys.readouterr().out
     assert "lower: 0.272727" in out
+
+
+@pytest.fixture
+def polytope_file(tmp_path):
+    return write(
+        tmp_path,
+        "polytope.json",
+        {
+            "space": {"atoms": ["w1", "w2", "w3", "w4", "w5"]},
+            "credal": {
+                "constraints": [
+                    {"coeffs": [1, -2, 0, 0.5, 0], "rel": "<=", "rhs": 0.1},
+                    {"coeffs": [0, 1, 1, 0, -1], "rel": ">=", "rhs": 0.2},
+                    {"coeffs": [0.3, 0, 0, 1, 1], "rel": "<=", "rhs": 0.6},
+                    {"coeffs": [0, 0, 1, 0, 0], "rel": "<=", "rhs": 0.45},
+                ]
+            },
+        },
+    )
+
+
+@pytest.mark.parametrize("fixture, event", [("bounds_file", ["w1", "w2"]), ("polytope_file", ["w1", "w2", "w3"])])
+def test_condition_table_prints_the_box_without_solving_it(fixture, event, request, monkeypatch, capsys):
+    """Table-format ``condition`` on a LinearSystem prints, per atom, the
+    bounds that ``ranges`` gives over the conditioned box, reading them off
+    the box's rows: no pivot after ``conditionalize`` returns, and 0, not
+    -0, off the event."""
+    path = request.getfixturevalue(fixture)
+    problem = load_problem(path)
+    box = cli.conditionalize(credal_from_obj(problem.raw["credal"], problem), event_from_atoms(problem.space, event))
+    lows, highs = box.ranges(np.eye(problem.space.size))
+    returned, after = [], []
+    conditionalize = cli.conditionalize
+    monkeypatch.setattr(cli, "conditionalize", lambda *args: returned.append(conditionalize(*args)) or returned[-1])
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def wrapped(*args):
+            if returned:
+                after.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    for owner, name in ((linprog, "_run_simplex"), (linprog, "_pivot_stack"), (linprog._Tableau, "pivot")):
+        spy(owner, name)
+    assert main(["condition", path, "--event", *event]) == 0
+    assert returned and after == []
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "conditional bounds (box form):" and lines[1].split() == ["atom", "lower", "upper"]
+    table = [line.split() for line in lines[3:]]
+    assert [row[0] for row in table] == list(problem.space.atoms)
+    printed = np.array([[float(lo), float(hi)] for _, lo, hi in table])
+    np.testing.assert_allclose(printed, np.column_stack([lows, highs]), rtol=1e-5, atol=1e-9)
+    assert not any(cell.startswith("-") for row in table for cell in row[1:])
+    off = [a not in event for a in problem.space.atoms]
+    assert all(row[1:] == ["0", "0"] for row, o in zip(table, off) if o)
 
 
 def test_condition_family_round_trips_into_envelope(tmp_path, capsys):

@@ -4,7 +4,9 @@
 tableau whose solution scores best on the objective: the final tableau of
 max p_j for some atom j, built once on first use. These tests check that
 the bank changes no answer, that its contents do not depend on the calls
-made before, and that no other call builds it.
+made before, and that no other call builds it. ``LinearSystem.sample``
+takes no bank: its objectives are one lockstep pass from the phase-1
+tableau.
 """
 
 from unittest import mock
@@ -19,6 +21,7 @@ from credal import (
 )
 from credal import linprog
 from credal.linprog import PreparedLp, _Tableau
+from oracles import sample_by_optimize, start_bank_by_simplex
 
 KINDS = ("polytope", "box", "equality", "shifted", "point")
 
@@ -183,3 +186,41 @@ def test_the_bank_takes_fewer_pivots_over_every_indicator():
             S._prepared.optimize(w, "max")
         cold = len(made)
     assert (warm, cold) == (2851, 8668)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_bank_is_n_phase2_runs_with_checked_witnesses(kind):
+    """On 30 seeded systems of each kind, the bank is n ``_phase2`` runs of
+    max x_j, bit-identical to the former bank of n simplex runs of its own
+    (``oracles.start_bank_by_simplex``), and every row of X passes the
+    program's witness check."""
+    for seed in range(30):
+        prepared = bank_system(seed, kind)[0]._prepared
+        runs, phase2 = [], PreparedLp._phase2
+        with mock.patch.object(PreparedLp, "_phase2", lambda *args: runs.append(1) or phase2(*args)):
+            bank = prepared._starts()
+        assert len(runs) == prepared.n_vars
+        for built, former in zip(bank, start_bank_by_simplex(prepared)):
+            assert built.tobytes() == former.tobytes()
+        assert prepared._checked(bank[2]) is bank[2]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sample_is_one_lockstep_pass(kind):
+    """``LinearSystem.sample`` gives the members of the former loop of one
+    ``optimize`` per objective (``oracles.sample_by_optimize``) to 1e-12 and
+    leaves the generator where that loop left it, from one ``_solve_many``
+    call and no ``optimize`` call; k = 0 gives no member."""
+    for seed in range(10):
+        S = bank_system(seed, kind)[0]
+        former_rng = np.random.default_rng(seed)
+        former = sample_by_optimize(S, 30, former_rng)
+        calls, solve_many = [], PreparedLp._solve_many
+        rng = np.random.default_rng(seed)
+        with mock.patch.object(PreparedLp, "_solve_many", lambda *args: calls.append(1) or solve_many(*args)), \
+                mock.patch.object(PreparedLp, "optimize", side_effect=AssertionError("called optimize")):
+            members = S.sample(30, rng)
+        assert len(calls) == 1
+        np.testing.assert_allclose([m.probs for m in members], [m.probs for m in former], rtol=0, atol=1e-12)
+        assert rng.random() == former_rng.random()
+        assert S.sample(0, rng) == []

@@ -30,13 +30,15 @@ such call: for each variable j the tableau ``_phase2`` of max x_j ends
 on, of which an objective takes the one whose witness scores best on it
 (an advanced starting basis, Bixby 1992). On the benchmark's ``lp-sweep``
 systems an event's LP then takes about one pivot instead of three, and a
-sweep about half the pivots in two thirds of the steps. Every witness, a
-bank's included, is checked at 10 * TAU_LP with one product against the
-rows as a <= stack (an = row as a and -a), in optimize_many once per
-distinct witness. Pivoting is deterministic. An infeasible program
-keeps the duals of its failed phase 1 as a Farkas ray, off which
-``hull_membership`` reads its separating hyperplane. A ratio program is
-one pivot from the optimal tableau of max p(E) (``_charnes_cooper``).
+sweep about half the pivots in two thirds of the steps; an ``extremes``
+LP optimal at its start (about half) takes the start's witness with no
+tableau copy. Every witness, a bank's included, is checked at 10 * TAU_LP
+with one product against the rows as a <= stack (an = row as a and -a),
+in optimize_many once per distinct witness. Pivoting is deterministic.
+An infeasible program keeps the duals of its failed phase 1 as a Farkas
+ray, off which ``hull_membership`` reads its separating hyperplane. A
+ratio program is one pivot from the optimal tableau of max p(E)
+(``_charnes_cooper``).
 ``solve`` prepares a program and optimizes it once; it is public API, and
 the library no longer calls it.
 """
@@ -236,9 +238,11 @@ class PreparedLp:
     y >= 0 on a >= row): the ray of the shifted rows, plus on one bound row
     per shifted atom j the weight -(y @ A)_j / coefficient, which zeroes
     column j. ``extremes`` and ``ranges`` start phase 2 from a start bank,
-    the final tableaux of max x_j for each j, built on their first call and
-    kept; its contents depend only on the program, so no answer depends on
-    the calls made before, and instances stay safe to share.
+    the final tableaux of max x_j for each j and their checked witnesses,
+    built on their first call and kept (read-only); an ``extremes`` LP
+    optimal at its start is answered with that start's witness. The bank
+    depends only on the program, so no answer depends on the calls made
+    before, and instances stay safe to share.
     """
 
     infeasibility, farkas = 0.0, None  # set where phase 1 fails
@@ -389,15 +393,16 @@ class PreparedLp:
 
     def extremes(self, objective):
         """``optimize``'s results for min and for max of one objective, each
-        from the start bank's tableau whose solution scores best on it."""
+        from the start bank's tableau whose solution scores best on it, and
+        with it the index of the bank row that is its witness (None if the
+        LP pivoted away from it, or without a bank)."""
         bank = self._starts()
         if bank is None:
-            return self.optimize(objective, "min"), self.optimize(objective, "max")
+            return (self.optimize(objective, "min"), None), (self.optimize(objective, "max"), None)
         obj = np.asarray(objective, dtype=float)
-        Ts, bases, X = bank
-        score = X @ obj
-        return tuple(self._phase2(obj, sense, _Tableau(Ts[j], bases[j]))[0]
-                     for sense, j in (("min", score.argmin()), ("max", score.argmax())))
+        score = bank[2] @ obj
+        runs = [(self._phase2(obj, sense, j), j) for sense, j in (("min", score.argmin()), ("max", score.argmax()))]
+        return tuple((res, j if tab is None else None) for (res, tab), j in runs)
 
     def ranges(self, rows):
         """(lowest, highest) of each row of objective weights (-inf and +inf
@@ -411,23 +416,34 @@ class PreparedLp:
     def _starts(self):
         """The start bank, built on first use: for each variable j, the
         tableau that ``_phase2`` of max x_j ends on (read-only, stacked), its
-        basis and its witness, a row of X. It depends only on the program.
-        None if the program is infeasible."""
+        basis and its witness, a row of X, checked here (an unbounded run's
+        is not checked there) since an LP optimal at that start returns it.
+        It depends only on the program. None if the program is infeasible."""
         if self._bank is None and self._tab is not None:
             runs = [self._phase2(e, "max") for e in np.eye(self.n_vars)]
             Ts, bases = np.stack([t.T for _, t in runs]), np.stack([t.basis for _, t in runs])
-            Ts.flags.writeable = bases.flags.writeable = False
-            self._bank = Ts, bases, np.stack([res.witness for res, _ in runs])
+            X = self._checked(np.stack([res.witness for res, _ in runs]))
+            Ts.flags.writeable = bases.flags.writeable = X.flags.writeable = False
+            self._bank = Ts, bases, X
         return self._bank
 
-    def _phase2(self, objective, sense: str, start: _Tableau | None = None):
-        """``optimize``'s result and the tableau it ended on (None if
-        infeasible), from a copy of start (default: the phase-1 tableau)."""
+    def _phase2(self, objective, sense: str, start: int | None = None):
+        """``optimize``'s result and the tableau it ended on, from a copy of
+        the phase-1 tableau or of bank tableau start. Priced at a bank start
+        with no reduced cost below -TAU_LP (``_run_simplex``'s first test),
+        the result is that start's checked witness, with no copy and tableau
+        None (as for an infeasible program)."""
         if self._tab is None:
             return LpResult("INFEASIBLE", infeasibility=self.infeasibility), None
         obj = np.asarray(objective, dtype=float)
-        tab = (self._tab if start is None else start).copy()
-        tab.price(self._cost(obj, sense))
+        tab = self._tab if start is None else _Tableau(self._bank[0][start], self._bank[1][start])
+        z = self._cost(obj, sense)
+        z -= z[tab.basis] @ tab.T[:-1, :-1]  # the reduced costs, as price makes them
+        if start is not None and not z.min() < -TAU_LP:
+            x = self._bank[2][start]
+            return LpResult("OPTIMAL", value=float(obj @ x), witness=x), None
+        tab = tab.copy()
+        tab.T[-1, :-1], tab.T[-1, -1] = z, 0.0
         status = _run_simplex(tab, self.bland_after, self.max_iter)
         x = self._shifted(tab.solution()[: self.n_vars])
         if status == "UNBOUNDED":

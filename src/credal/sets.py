@@ -156,6 +156,7 @@ class LinearSystem:
 
     space: OutcomeSpace
     constraints: tuple[Constraint, ...]
+    _members = None  # one member per row of the start bank, built by _member
 
     def __post_init__(self):
         n = self.space.size
@@ -177,12 +178,18 @@ class LinearSystem:
     def extremes(self, weights: np.ndarray):
         """(lowest, member attaining it, highest, member attaining it) of
         weights . p over the system, from one min and one max LP, each
-        starting from a tableau of the prepared program's start bank."""
-        lo, hi = self._prepared.extremes(weights)
-        return (
-            lo.value, _member_from_witness(self.space, lo.witness),
-            hi.value, _member_from_witness(self.space, hi.witness),
-        )
+        starting from a tableau of the prepared program's start bank. An LP
+        optimal at its start takes that bank row's member, kept: the first
+        such LP validates one member per bank row."""
+        (lo, i), (hi, j) = self._prepared.extremes(weights)
+        return lo.value, self._member(lo.witness, i), hi.value, self._member(hi.witness, j)
+
+    def _member(self, witness: np.ndarray, row: int | None) -> Distribution:
+        if row is None:
+            return _member_from_witness(self.space, witness)
+        if self._members is None:
+            object.__setattr__(self, "_members", [_member_from_witness(self.space, x) for x in self._prepared._bank[2]])
+        return self._members[row]
 
     def ranges(self, rows: np.ndarray):
         """(lowest, highest) of row . p over the system for each row of weights,
@@ -197,9 +204,6 @@ class LinearSystem:
             raise SpaceMismatchError("distribution is over a different space")
         # the last row is the simplex row, which a distribution meets already
         return bool(np.all(self._prepared.scaled_violation(d.probs)[:-1] <= tol))
-
-    def a_member(self) -> Distribution:
-        return _member_from_witness(self.space, self._prepared.feasible_point())
 
     def sample(self, k: int, rng: np.random.Generator) -> list[Distribution]:
         """k mixtures of random vertices: the minimizers of min(k, max(4, 2n))

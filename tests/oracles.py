@@ -29,7 +29,9 @@ one member per action, to check the one member per distinct witness.
 ``start_bank_by_simplex`` is the former start bank, n simplex runs of its
 own, to check the bank that ``_phase2`` builds; ``sample_by_optimize`` is
 the former ``LinearSystem.sample``, one ``optimize`` per objective, to
-check the one lockstep pass.
+check the one lockstep pass. ``extremes_by_phase2`` is the former
+``LinearSystem.extremes``, a simplex run on a copy of each start and a new
+member per witness, to check the LPs answered at their start-bank row.
 """
 
 import itertools
@@ -41,7 +43,7 @@ from credal.decisions import _report
 from credal.distributions import condition_distribution, make_distribution
 from credal.errors import NumericalFailureError, ZeroEvidenceError, ZeroEvidenceEverywhereError
 from credal.inference import core_of_belief, zeta_transform
-from credal.linprog import PIVOT_TOL, PreparedLp, hull_membership
+from credal.linprog import PIVOT_TOL, PreparedLp, _run_simplex, _Tableau, hull_membership
 from credal.sets import _clipped_renormalised, _member_from_witness
 from credal.tolerances import TAU_LP, TAU_ZERO
 
@@ -537,9 +539,27 @@ def sample_by_optimize(S, k, rng):
         if res.status == "OPTIMAL":
             points.append(np.clip(res.witness, 0.0, 1.0))
     if not points:
-        points = [S.a_member().probs]
+        points = [_member_from_witness(S.space, S._prepared.feasible_point()).probs]
     out = []
     for _ in range(k):
         mix = points[0] if len(points) == 1 else np.einsum("i,ij->j", rng.dirichlet(np.ones(len(points))), np.array(points))
         out.append(make_distribution(S.space, mix / mix.sum()))
+    return out
+
+
+def extremes_by_phase2(S, w):
+    """``LinearSystem.extremes`` as it was: for min and then max of w, a
+    copy of the start-bank tableau whose witness scores best on w, priced
+    and run by ``_run_simplex`` even where it is optimal already, its
+    solution checked and made a new member. [(value, witness, member)] * 2."""
+    prepared, obj = S._prepared, np.asarray(w, dtype=float)
+    Ts, bases, X = prepared._starts()
+    score = X @ obj
+    out = []
+    for sense, j in (("min", score.argmin()), ("max", score.argmax())):
+        tab = _Tableau(Ts[j], bases[j]).copy()
+        tab.price(prepared._cost(obj, sense))
+        assert _run_simplex(tab, prepared.bland_after, prepared.max_iter) == "OPTIMAL"
+        x = prepared._checked(prepared._shifted(tab.solution()[: prepared.n_vars]))
+        out.append((float(obj @ x), x, _member_from_witness(S.space, x)))
     return out

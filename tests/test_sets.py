@@ -4,16 +4,21 @@ import pytest
 from oracles import vertices_of
 
 from credal import (
+    BetBook,
     Event,
     FamilyBranch,
     LinearSystem,
     ParametricFamily,
+    Ticket,
+    UtilityMatrix,
     VertexSet,
+    booked_in_expectation,
     coin_family,
     coin_space,
     constraint,
     die_bias,
     die_family,
+    e_admissible,
     envelope,
     iid_coin,
     independent_square,
@@ -30,7 +35,10 @@ from credal.errors import (
     SpaceMismatchError,
     ZeroEvidenceError,
 )
+from credal.cases import FAMILY_TOL
+from credal.inference import lower_envelope_function
 from credal.sets import IntervalDistribution
+from credal.tolerances import TAU_LP
 
 
 def test_vertex_set_validation():
@@ -178,3 +186,41 @@ def test_nonbelief_vertex_set_uses_brute_force_core(rng):
     assert not rep.envelope_is_belief
     assert rep.mass_of(*sp.atoms) == pytest.approx(-0.2, abs=1e-9)
     assert rep.set_equals_core is True  # core coincides with the hull
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_coin_segment_agrees_as_a_box_its_ends_and_a_family(seed):
+    """coin_family(lo, hi, 1) is the segment of (t, 1 - t) for t in [lo, hi].
+    As the 2-atom box LinearSystem, as the VertexSet of its two ends and as
+    the family, it gives every event the same envelope, the same lower
+    envelope function and the same verdict on a two-ticket book, to
+    10 * TAU_LP (FAMILY_TOL for the family). The box and the family admit
+    the same actions; the ends, a finite set, admit a subset of them."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.sort(rng.uniform(0.0, 1.0, 2))
+    fam = coin_family(lo, hi, 1)
+    space = fam.space
+    box = interval_to_linear_system(IntervalDistribution(space, np.array([lo, 1 - hi]), np.array([hi, 1 - lo])))
+    ends = VertexSet((fam.member(0, lo), fam.member(0, hi)))
+    heads, tails = Event.of(space, "H"), Event.of(space, "T")
+    book = BetBook((Ticket("buy", *sorted(map(int, rng.integers(0, 200, 2))), heads),
+                    Ticket("sell", *sorted(map(int, rng.integers(0, 200, 2))), tails)))
+    U = UtilityMatrix(tuple(f"a{i}" for i in range(5)), space, rng.normal(size=(5, 2)))
+    want, admissible = booked_in_expectation(book, box), set(e_admissible(U, box).admissible_actions)
+    for S, tol in ((ends, 10 * TAU_LP), (fam, FAMILY_TOL)):
+        for e in (Event(space, ()), heads, tails, Event.full(space)):
+            got, at = envelope(S, e), envelope(box, e)
+            assert (got.lower, got.upper) == pytest.approx((at.lower, at.upper), abs=tol)
+        np.testing.assert_allclose(lower_envelope_function(S).values, lower_envelope_function(box).values,
+                                   rtol=0, atol=tol)
+        verdict = booked_in_expectation(book, S)
+        assert verdict.booked == want.booked
+        assert (verdict.min_agent_expectation, verdict.max_agent_expectation) == pytest.approx(
+            (want.min_agent_expectation, want.max_agent_expectation), abs=tol)
+    assert set(e_admissible(U, fam).admissible_actions) == admissible
+    assert set(e_admissible(U, ends).admissible_actions) <= admissible
+    # the hedge pays 0.55 either way: it is admissible where max(t, 1 - t)
+    # <= 0.55 at some t, which the segment may reach and neither end does
+    bets = UtilityMatrix(("heads", "tails", "hedge"), space, np.array([[1.0, 0.0], [0.0, 1.0], [0.55, 0.55]]))
+    for S, ts in ((box, [np.clip(0.5, lo, hi)]), (fam, [np.clip(0.5, lo, hi)]), (ends, [lo, hi])):
+        assert ("hedge" in e_admissible(bets, S).admissible_actions) == (min(max(t, 1 - t) for t in ts) <= 0.55)

@@ -4,9 +4,11 @@
 tableau whose solution scores best on the objective: the final tableau of
 max p_j for some atom j, built once on first use. These tests check that
 the bank changes no answer, that its contents do not depend on the calls
-made before, and that no other call builds it. ``LinearSystem.sample``
-takes no bank: its objectives are one lockstep pass from the phase-1
-tableau.
+made before, and that no other call builds it. An ``extremes`` LP already
+optimal at its start is answered from the bank: its witness is the bank
+row's and its member the one the system keeps for that row, with no
+simplex run and no tableau copy. ``LinearSystem.sample`` takes no bank:
+its objectives are one lockstep pass from the phase-1 tableau.
 """
 
 from unittest import mock
@@ -17,11 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credal import (
-    Event, LinearSystem, UtilityMatrix, conditionalize, constraint, e_admissible, fractional_bounds, simple_space,
+    Event, LinearSystem, UtilityMatrix, conditionalize, constraint, e_admissible, envelope, fractional_bounds,
+    simple_space,
 )
-from credal import linprog
+from credal import linprog, sets
 from credal.linprog import PreparedLp, _Tableau
-from oracles import sample_by_optimize, start_bank_by_simplex
+from credal.tolerances import TAU_LP
+from oracles import extremes_by_phase2, sample_by_optimize, start_bank_by_simplex
 
 KINDS = ("polytope", "box", "equality", "shifted", "point")
 
@@ -123,27 +127,44 @@ def seeded_polytope(n: int, seed: int) -> LinearSystem:
     return LinearSystem(simple_space(*(f"w{j}" for j in range(n))), tuple(rows))
 
 
+def runs_needed(prepared: PreparedLp, w: np.ndarray) -> int:
+    """How many of w's two ``extremes`` LPs start at a bank tableau (the one
+    whose witness scores best on w) where w's priced row has an entry
+    below -TAU_LP, so that the LP needs a simplex run."""
+    Ts, bases, X = prepared._bank
+    score = X @ w
+    needed = 0
+    for sense, j in (("min", score.argmin()), ("max", score.argmax())):
+        cost = prepared._cost(w, sense)
+        needed += bool((cost - cost[bases[j]] @ Ts[j, :-1, :-1]).min() < -TAU_LP)
+    return needed
+
+
 def test_only_the_first_extremes_or_ranges_call_builds_the_bank():
-    """Construction builds no bank. The first ``extremes`` call runs n + 2
-    simplex runs: one per start tableau, then its min and its max. Later
-    ``extremes`` calls run two, and ``ranges`` none outside the lockstep,
-    on the same bank. On a fresh system ``ranges`` builds it instead."""
+    """Construction builds no bank. The first ``extremes`` call makes n
+    simplex runs to build it, one per start tableau; every ``extremes``
+    call then makes one run per LP whose priced row at its start has an
+    entry below -TAU_LP (``runs_needed``), and ``ranges`` none outside the
+    lockstep, on the same bank. On a fresh system ``ranges`` builds it
+    instead."""
     n = 10
     S, T = seeded_polytope(n, 10), seeded_polytope(n, 10)
     assert S._prepared._bank is None
     runs, run = [], linprog._run_simplex
     rng = np.random.default_rng(0)
+    v, w = rng.normal(size=(2, n))
     with mock.patch.object(linprog, "_run_simplex", lambda *args: runs.append(1) or run(*args)):
-        S.extremes(rng.normal(size=n))
-        assert len(runs) == n + 2
+        S.extremes(v)
+        first = runs_needed(S._prepared, v)
+        assert len(runs) == n + first
         bank = S._prepared._bank
         assert len(bank[0]) == len(bank[1]) == len(bank[2]) == n
-        assert not bank[0].flags.writeable and not bank[1].flags.writeable
-        S.extremes(rng.normal(size=n))
+        assert not (bank[0].flags.writeable or bank[1].flags.writeable or bank[2].flags.writeable)
+        S.extremes(w)
         S.ranges(rng.normal(size=(20, n)))
-        assert len(runs) == n + 4 and S._prepared._bank is bank
+        assert len(runs) == n + first + runs_needed(S._prepared, w) and S._prepared._bank is bank
         T.ranges(rng.normal(size=(20, n)))
-        assert len(runs) == 2 * n + 4
+        assert len(runs) == 2 * n + first + runs_needed(S._prepared, w)
     for a, b in zip(T._prepared._bank, bank):
         assert np.array_equal(a, b)
 
@@ -224,3 +245,66 @@ def test_sample_is_one_lockstep_pass(kind):
         np.testing.assert_allclose([m.probs for m in members], [m.probs for m in former], rtol=0, atol=1e-12)
         assert rng.random() == former_rng.random()
         assert S.sample(0, rng) == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_extremes_match_the_former_path_bit_for_bit(kind):
+    """On 40 seeded systems of each kind, ``LinearSystem.extremes`` and
+    ``PreparedLp.extremes`` give the values, witness bytes and member bytes
+    of a simplex run on a copy of each start (``oracles.extremes_by_phase2``),
+    and a bank row is named exactly where the witness is that row's."""
+    for seed in range(40):
+        S, W = bank_system(seed, kind)
+        for w in W:
+            former = extremes_by_phase2(S, w)
+            found = S.extremes(w)
+            for (value, witness, member), got, got_member, (res, row) in zip(
+                    former, found[::2], found[1::2], S._prepared.extremes(w)):
+                assert got == res.value == value
+                assert res.witness.tobytes() == witness.tobytes()
+                assert got_member.probs.tobytes() == member.probs.tobytes()
+                if row is not None:
+                    assert res.witness.tobytes() == S._prepared._bank[2][row].tobytes()
+
+
+def test_an_lp_optimal_at_its_start_copies_no_tableau_and_runs_no_simplex():
+    """Over every indicator of a seeded 8-atom polytope, once the bank is
+    built, ``extremes`` makes one tableau copy and one simplex run for each
+    LP that ``runs_needed`` counts, and none for the others, of which there
+    are some; those name their bank row, the others none."""
+    n = 8
+    S = seeded_polytope(n, 8)
+    S.extremes(np.ones(n))
+    masks = np.arange(1, 2**n - 1)
+    copies, runs, copy, run = [], [], _Tableau.copy, linprog._run_simplex
+    needed = answered = 0
+    with mock.patch.object(_Tableau, "copy", lambda tab: copies.append(1) or copy(tab)), \
+            mock.patch.object(linprog, "_run_simplex", lambda *args: runs.append(1) or run(*args)):
+        for w in (masks[:, None] >> np.arange(n) & 1).astype(float):
+            rows = [row for _, row in S._prepared.extremes(w)]
+            needed += runs_needed(S._prepared, w)
+            answered += sum(row is not None for row in rows)
+            assert len(copies) == len(runs) == needed
+    assert answered == 2 * len(masks) - needed and 0 < answered < 2 * len(masks)
+
+
+def test_envelopes_answered_at_one_bank_row_share_one_member():
+    """Over every event of a seeded 10-atom polytope, the envelopes whose
+    LP is answered at one bank row return one member object, validated once
+    for all the rows at the first such LP; every other LP makes a member of
+    its own."""
+    n = 10
+    S = seeded_polytope(n, 10)
+    events = [Event.from_indices(S.space, np.flatnonzero(mask >> np.arange(n) & 1)) for mask in range(1, 2**n - 1)]
+    made, member = [], sets._member_from_witness
+    by_row, pivoted = {}, 0
+    with mock.patch.object(sets, "_member_from_witness", lambda *args: made.append(1) or member(*args)):
+        for e in events:
+            env = envelope(S, e)
+            for (_, row), witness in zip(S._prepared.extremes(e.indicator()), (env.lower_witness, env.upper_witness)):
+                if row is None:
+                    pivoted += 1
+                else:
+                    assert by_row.setdefault(row, witness) is witness
+    assert len(made) == n + pivoted
+    assert len(by_row) > 1 and len({id(m) for m in by_row.values()}) == len(by_row)

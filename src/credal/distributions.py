@@ -23,7 +23,7 @@ from .errors import (
     WeightInvalidError,
     ZeroEvidenceError,
 )
-from .spaces import Event, OutcomeSpace, coin_space, product_space, simple_space
+from .spaces import Event, OutcomeSpace, _check_tosses, coin_space, product_space, simple_space
 from .tolerances import TAU_NORM, TAU_ZERO
 
 DIE_BRANCHES = ("favor-2", "favor-1")
@@ -194,11 +194,12 @@ def iid_coin(p_heads: float, n_tosses: int) -> Distribution:
         raise ParamRangeError(f"p_heads must be in [0, 1], got {p_heads}")
     if n_tosses < 1:
         raise ParamRangeError("n_tosses must be >= 1")
+    space = coin_space(n_tosses)
     per_toss = np.array([p_heads, 1.0 - p_heads])
     probs = per_toss
     for _ in range(n_tosses - 1):
         probs = np.multiply.outer(probs, per_toss).ravel()
-    return make_distribution(coin_space(n_tosses), probs)
+    return make_distribution(space, probs)
 
 
 def die_space() -> OutcomeSpace:
@@ -252,6 +253,7 @@ def coin_atom_polys(n_tosses: int) -> np.ndarray:
     h the number of heads in atom j, expanded by the binomial theorem.
     Built once per n_tosses; the array is read-only and shared.
     """
+    _check_tosses(n_tosses)
     n = n_tosses
     by_heads = np.zeros((n + 1, n + 1))
     for h in range(n + 1):

@@ -268,13 +268,22 @@ def load_decision(path) -> DecisionProblem:
         isinstance(u, dict) and "actions" in u and "matrix" in u,
         "utilities needs actions and matrix",
     )
+    _expect(
+        isinstance(u["actions"], list) and all(isinstance(a, str) for a in u["actions"]),
+        "utilities.actions must be a list of strings",
+    )
     with _parsing("utilities"):
         U = UtilityMatrix(
             tuple(u["actions"]), problem.space, np.asarray(u["matrix"], dtype=float)
         )
     credal = credal_from_obj(obj["credal"], problem) if "credal" in obj else None
+    names = obj.get("members", [])
+    _expect(
+        isinstance(names, list) and all(isinstance(name, str) for name in names),
+        "members must be a list of distribution names",
+    )
     members = []
-    for name in obj.get("members", []):
+    for name in names:
         _expect(name in problem.distributions, f"unknown member {name!r}")
         members.append(problem.distributions[name])
     return DecisionProblem(U, credal, members, problem)
@@ -295,7 +304,9 @@ def load_pooling(path) -> PoolingProblem:
 def load_book(path) -> tuple[BetBook, ProblemFile]:
     obj = load_json(path)
     problem = problem_from_obj(obj)
-    _expect("tickets" in obj, "book file needs tickets")
+    _expect("tickets" in obj and isinstance(obj["tickets"], list), "book file needs a list of tickets")
+    # cents at most this in size, so no atom's sum over the book leaves int64
+    most = np.iinfo(np.int64).max // (2 * max(1, len(obj["tickets"])))
     tickets = []
     with _parsing("book"):
         for t in obj["tickets"]:
@@ -304,8 +315,13 @@ def load_book(path) -> tuple[BetBook, ProblemFile]:
                 and {"side", "price_cents", "payout_cents", "event"} <= set(t),
                 "each ticket needs side, price_cents, payout_cents, event",
             )
+            cents = t["price_cents"], t["payout_cents"]
+            _expect(
+                all(type(c) is int and abs(c) <= most for c in cents),
+                f"price_cents and payout_cents must be integers of size at most {most}",
+            )
             event = Event.of(problem.space, *t["event"])
-            tickets.append(Ticket(t["side"], int(t["price_cents"]), int(t["payout_cents"]), event))
+            tickets.append(Ticket(t["side"], *cents, event))
         return BetBook(tuple(tickets)), problem
 
 

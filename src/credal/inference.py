@@ -35,10 +35,8 @@ from .sets import (
     _ratio_program,
     interval_to_linear_system,
 )
-from .spaces import Event, OutcomeSpace
+from .spaces import MAX_FRAME_ATOMS, Event, OutcomeSpace
 from .tolerances import TAU_LP, TAU_NORM, TAU_ZERO
-
-MAX_FRAME_ATOMS = 20
 
 
 @dataclass(frozen=True)
@@ -371,9 +369,9 @@ def lower_envelope_function(S: CredalSet) -> SetFunction:
     Members are normalized, so the lowest and highest p(A) of a subset A
     without the last atom give both Bel(A) and Bel(A^c) = 1 - max p(A):
     one ``ranges`` call over the indicators of those 2^(n-1) - 1 subsets
-    gives every value. On a LinearSystem that is one lockstep
-    ``optimize_many`` call for all 2^n - 2 LPs, which share pivots: a
-    10-atom polytope's take 130-520 pivots in 7-13 steps.
+    gives every value. On a LinearSystem that call runs all 2^n - 2 LPs in
+    lockstep from the system's start bank, sharing pivots: a 10-atom
+    polytope's take 41-180 pivots in 4-7 steps.
     """
     space = S.space
     n = space.size
@@ -417,12 +415,14 @@ def _set_equals_core(S: CredalSet, bel: np.ndarray, is_belief: bool) -> bool | N
     S is always inside the core (Bel is its lower envelope), so only
     core-inside-S needs deciding. For a LinearSystem that is exact: each
     row's worst case over the core must meet it, and ``_core_reaches``
-    finds those minima without the core's 2^n - 2 rows.
+    decides that without the core's 2^n - 2 rows, from the chain values
+    and then one n-row dual per row they leave short.
     A VertexSet equals it iff every vertex of the core is a point of S (a
     core vertex in conv(S) is a vertex of conv(S)): ``_chains_all_tight``
-    walks the marginal vectors of a 2-monotone Bel; otherwise double
-    description lists the core's vertices, each within 10 * TAU_LP (sup norm)
-    of a point, up to 5 atoms and undecided (None) above. A family's members
+    walks the marginal vectors when Bel is a belief function (is_belief) or
+    2-monotone; otherwise double description lists the core's vertices, each
+    within 10 * TAU_LP (sup norm) of a point, up to 5 atoms and undecided
+    (None) above. A family's members
     lie on one line iff the atom polynomials of its branches on the event
     (the one member of a point branch) span rank <= 2; more spans a plane
     with finitely many curves, never convex. On a line each branch is a
@@ -435,7 +435,7 @@ def _set_equals_core(S: CredalSet, bel: np.ndarray, is_belief: bool) -> bool | N
         A, b, sign = (r[:-1] for r in S._prepared._rows)  # the explicit rows
         # min a @ p over the core must reach b on a >= or = row, min -a @ p reach -b on a <= or = row
         W = np.concatenate((A[sign <= 0], -A[sign >= 0]))
-        return _core_reaches(W, np.concatenate((b[sign <= 0], -b[sign >= 0])), bel, is_belief)
+        return _core_reaches(W, np.concatenate((b[sign <= 0], -b[sign >= 0])), bel)
 
     if isinstance(S, ParametricFamily):
         idx = slice(None) if S.conditioning is None else list(S.conditioning.indices)
@@ -482,36 +482,26 @@ def _chain_values(W: np.ndarray, bel: np.ndarray):
     return np.einsum("ij,ij->i", W, P), P
 
 
-def _core_reaches(W: np.ndarray, need: np.ndarray, bel: np.ndarray, is_belief: bool) -> bool:
+def _core_reaches(W: np.ndarray, need: np.ndarray, bel: np.ndarray) -> bool:
     """Whether min w @ p over the core of bel reaches need - TAU_LP for
     every row w of W.
 
     A row's chain value is a lower bound of its minimum, so a row that the
-    value reaches holds. A row it misses fails when the value is the
-    minimum: when Bel is 2-monotone, or when the marginal vector meets
-    every core row and p >= 0 to 10 * TAU_LP. Each row left is decided by
-    the core program's dual, max sum_A y_A Bel(A) + z over y >= 0 with
+    value reaches holds. Each row it leaves short is decided, in row order,
+    by the core program's dual, max sum_A y_A Bel(A) + z over y >= 0 with
     sum_(A holding i) y_A + z <= w_i. Writing z = min w - u with u >= 0
     (the atom of least weight asks for that) leaves n rows of nonnegative
     rhs w - min w, so the dual needs no phase 1, and its checked witness
     bounds w @ p on the core from below within 10 * TAU_LP.
     """
     n = W.shape[1]
-    low, P = _chain_values(W, bel)
+    low, _ = _chain_values(W, bel)
     short = low < need - TAU_LP
     if not short.any():
         return True
-    if is_belief or _two_monotone(bel, n):
-        return False
-    W, need, P = W[short], need[short], P[short]
-    masses = np.zeros((len(P), len(bel)))
-    masses[:, 1 << np.arange(n)] = P
-    # p(A) >= Bel(A), and p(A) >= 0 where Bel(A) <= 0; P sums to Bel(all) = 1
-    if np.all(_subset_sums(masses, 1.0) >= np.maximum(bel, 0.0) - 10 * TAU_LP, axis=1).any():
-        return False
     A, b, _ = _core_rows(n, bel)
     A[-1], b[-1] = -1.0, -1.0  # the simplex row's multiplier z as -u
-    for w, bound in zip(W, need):
+    for w, bound in zip(W[short], need[short]):
         dual = PreparedLp(A.T, w - w.min(), np.ones(n))
         if dual.optimize(b, "max").value + w.min() < bound - TAU_LP:
             return False

@@ -20,9 +20,8 @@ scale), with lower-bound rows shifted out (x = l + x', Dantzig 1955).
 Phase 2 runs on a copy of the phase-1 tableau: ``optimize`` for one
 objective; ``optimize_many`` for a stack in lockstep, each objective
 making ``optimize``'s pivots, one per step, and those on one tableau
-entering one column sharing the pivot (a 10-atom lower-envelope sweep's
-1022 LPs take 130-520 pivots in 7-13 steps). A pass takes as many
-objectives as ``_LIVE_ENTRIES`` holds tableaux, so a step's distinct
+entering one column sharing the pivot. A pass takes as many objectives
+as ``_LIVE_ENTRIES`` holds tableaux, so a step's distinct
 tableaux, one at most per objective, fit there. ``extremes`` (one
 objective, both senses) and ``ranges`` (a stack, both senses, in lockstep)
 start each objective from a start bank instead, built on a program's first
@@ -30,11 +29,12 @@ such call: for each variable j the tableau ``_phase2`` of max x_j ends
 on, of which an objective takes the one whose witness scores best on it
 (an advanced starting basis, Bixby 1992). On the benchmark's ``lp-sweep``
 systems an event's LP then takes about one pivot instead of three, and a
-sweep about half the pivots in two thirds of the steps; an ``extremes``
-LP optimal at its start (about half) takes the start's witness with no
-tableau copy. Every witness, a bank's included, is checked at 10 * TAU_LP
-with one product against the rows as a <= stack (an = row as a and -a),
-in optimize_many once per distinct witness. Pivoting is deterministic.
+10-atom polytope's lower-envelope sweep (1022 LPs, one ``ranges`` call)
+41-180 pivots in 4-7 steps; an ``extremes`` LP optimal at its start
+(about half) takes the start's witness with no tableau copy. Every
+witness, a bank's included, is checked at 10 * TAU_LP with one product
+against the rows as a <= stack (an = row as a and -a), in optimize_many
+once per distinct witness. Pivoting is deterministic.
 An infeasible program keeps the duals of its failed phase 1 as a Farkas
 ray, off which ``hull_membership`` reads its separating hyperplane. A
 ratio program is one pivot from the optimal tableau of max p(E)

@@ -13,7 +13,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import UnknownVariableError
+from .errors import SpaceTooLargeError, UnknownVariableError
+
+# the largest n of any 2**n enumeration: the subsets of n atoms, the atoms of n tosses
+MAX_FRAME_ATOMS = 20
 
 
 @dataclass(frozen=True)
@@ -134,9 +137,19 @@ def coin_space(n_tosses: int) -> OutcomeSpace:
     """The n-fold product of a single H/T toss (cached: spaces are immutable)."""
     if n_tosses < 1:
         raise ValueError("n_tosses must be >= 1")
+    _check_tosses(n_tosses)
     return product_space(
         *(Variable(f"toss{i + 1}", ("H", "T")) for i in range(n_tosses))
     )
+
+
+def _check_tosses(n_tosses: int) -> None:
+    """Refuse a frame of 2**n_tosses atoms above MAX_FRAME_ATOMS tosses,
+    before any of it is built."""
+    if n_tosses > MAX_FRAME_ATOMS:
+        raise SpaceTooLargeError(
+            f"{n_tosses} tosses make 2**{n_tosses} atoms; at most {MAX_FRAME_ATOMS} tosses are supported"
+        )
 
 
 def simple_space(*atoms: str) -> OutcomeSpace:

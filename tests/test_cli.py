@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import credal
 from credal import cli, linprog
 from credal.cli import main
 from credal.fileio import credal_from_obj, event_from_atoms, load_problem
@@ -316,6 +324,120 @@ def test_malformed_pooling_file_exits_two(tmp_path, capsys):
                                         "weights": [0.5, 0.5]})
     assert main(["pool", path]) == 2
     assert "PARSE_ERROR" in capsys.readouterr().err
+
+
+REFUSAL_RUNNER = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from credal.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+TWO_TOSSES = {"variables": [{"name": "toss1", "values": ["H", "T"]}, {"name": "toss2", "values": ["H", "T"]}]}
+
+
+@pytest.mark.parametrize(
+    "args, obj, code, error",
+    [
+        (["decide", "FILE"], {"space": {"atoms": ["a", "b"]}, "utilities": {"actions": [1, "y"], "matrix": [[1, 1], [0, 0]]},
+                              "credal": {"vertices": [[0.5, 0.5]]}}, 2, "PARSE_ERROR"),
+        (["decide", "FILE", "--criterion", "pareto"], {"space": {"atoms": ["a", "b"]}, "distributions": {"p": [0.5, 0.5]},
+                                                       "utilities": {"actions": ["x"], "matrix": [[1, 0]]},
+                                                       "members": 1e300}, 2, "PARSE_ERROR"),
+        (["bet", "table", "FILE"], {"space": TWO_TOSSES, "tickets": [
+            {"side": "buy", "price_cents": 1300, "payout_cents": 1e300, "event": ["HH"]}]}, 2, "PARSE_ERROR"),
+        (["envelope", "FILE", "--event", "H"], {"space": {"variables": [{"name": "toss1", "values": ["H", "T"]}]}, "credal": {
+            "family": {"branches": [{"generator": "iid-coin", "lo": 0.1, "hi": 0.5, "params": {"n_tosses": 2**70}}]}}},
+         1, "SPACE_TOO_LARGE"),
+    ],
+    ids=["action-label-not-a-string", "members-not-a-list", "cents-overflow-int64", "tosses-beyond-the-frame"],
+)
+def test_malformed_input_is_refused_without_traceback(tmp_path, args, obj, code, error):
+    """Inputs that once escaped as a TypeError, an OverflowError or a
+    MemoryError are refused with a typed error before anything is built.
+    Each runs in its own process under a 1 GiB address-space cap, so a
+    missing size check fails the test instead of exhausting memory."""
+    path = write(tmp_path, "bad.json", obj)
+    argv = [path if a == "FILE" else a for a in args]
+    src = os.path.dirname(os.path.dirname(credal.__file__))
+    done = subprocess.run([sys.executable, "-c", REFUSAL_RUNNER, *argv], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == code, done.stderr
+    assert f"error [{error}]" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+# Small input files of each kind, with the commands that read them ("FILE"
+# stands for the file's path).
+FUZZ_FILES = {
+    "problem": ({"space": {"atoms": ["a", "b", "c"]}, "distributions": {"p": [0.2, 0.3, 0.5]},
+                 "intervals": {"box": {"lo": [0.1, 0.2, 0.3], "hi": [0.5, 0.5, 0.6]}},
+                 "credal": {"constraints": [{"coeffs": [1, 0, 0], "rel": ">=", "rhs": 0.1},
+                                            {"coeffs": [0, 1, -1], "rel": "<=", "rhs": 0.2}]}},
+                [["envelope", "FILE", "--event", "a", "b"], ["condition", "FILE", "--event", "a", "b"]]),
+    "decision": ({"space": {"atoms": ["a", "b", "c"]}, "distributions": {"p": [0.2, 0.3, 0.5], "q": [0.5, 0.3, 0.2]},
+                  "utilities": {"actions": ["x", "y", "z"], "matrix": [[3, 3, 4], [2.5, 3.5, 5], [1, 5, 4]]},
+                  "credal": {"vertices": ["p", "q"]}, "members": ["p", "q"]},
+                 [["decide", "FILE"], ["decide", "FILE", "--criterion", "group-minimax"],
+                  ["decide", "FILE", "--criterion", "pareto"]]),
+    "book": ({"space": TWO_TOSSES, "distributions": {"q": [0.13, 0.17, 0.17, 0.53]},
+              "tickets": [{"side": "buy", "price_cents": 1300, "payout_cents": 10000, "event": ["HH"]},
+                          {"side": "sell", "price_cents": 2550, "payout_cents": 15000, "event": ["HT"]}]},
+             [["bet", "table", "FILE"], ["bet", "eval", "FILE", "--family", "coin", "--range", "0.1", "0.5", "--under", "q"]]),
+    "family": ({"space": TWO_TOSSES, "credal": {"family": {"branches": [
+                    {"generator": "iid-coin", "lo": 0.1, "hi": 0.5, "params": {"n_tosses": 2}},
+                    {"generator": "independent-square", "lo": 0.2, "hi": 0.3}],
+                "conditioning": ["HH", "HT"]}}},
+               [["envelope", "FILE", "--event", "HH"], ["condition", "FILE", "--event", "HH", "TT"]]),
+}
+FUZZ_VALUES = (None, float("nan"), 1e300, 2**70, [1], "x")
+
+
+def leaf_paths(node, path=()):
+    """The key paths of a JSON tree's scalars and empty containers."""
+    items = list(node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ())
+    if not items:
+        yield path
+    for key, child in items:
+        yield from leaf_paths(child, (*path, key))
+
+
+def mutated(obj, path, change):
+    """A copy of obj with the leaf at path set to a value, deleted, or
+    (in a list) repeated."""
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if change == "delete":
+        del parent[path[-1]]
+    elif change == "repeat":
+        parent.insert(path[-1], parent[path[-1]])
+    else:
+        parent[path[-1]] = change[1]
+    return obj
+
+
+FUZZ_CASES = [
+    (kind, path, change)
+    for kind, (obj, _) in FUZZ_FILES.items()
+    for path in leaf_paths(obj)
+    for change in [*(("set", v) for v in FUZZ_VALUES), "delete", *(["repeat"] if isinstance(path[-1], int) else [])]
+]
+
+
+@given(case=st.sampled_from(FUZZ_CASES))
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_file_with_one_leaf_changed_exits_with_a_code(tmp_path, case):
+    """Changing one leaf of a small input file to None, NaN, 1e300, 2**70,
+    a list or a string, or deleting or repeating it, ends every command
+    that reads the file in exit 0, 1 or 2: no exception escapes main."""
+    kind, path, change = case
+    obj, commands = FUZZ_FILES[kind]
+    file = write(tmp_path, f"{kind}.json", mutated(obj, path, change))
+    for args in commands:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main([file if a == "FILE" else a for a in args]) in (0, 1, 2)
 
 
 def test_domain_error_exits_one(tmp_path, capsys):

@@ -1177,10 +1177,10 @@ def core_check_programs(S):
 
 
 def test_linear_system_core_check_reaches_every_branch():
-    """Seeds whose verdicts come from each branch: rows the chain values
-    settle, the 2-monotone gate, a marginal vector in the core that misses
-    its row, and the n-row dual programs, which also confirm rows the chain
-    values miss (the core plus a row it meets)."""
+    """Seeds whose verdicts come from each of the check's two steps: rows
+    the chain values settle, and the n-row dual programs, which confirm
+    rows the chain values miss (the core plus a row it meets) or find one
+    broken. A False verdict comes from the first dual built."""
     reached = set()
     for kind, seed in itertools.product(("box+row", "polytope", "core+row"), range(40)):
         S = core_check_test_system(kind, seed)
@@ -1190,11 +1190,12 @@ def test_linear_system_core_check_reaches_every_branch():
         assert all(rows == n for rows in built)
         if built:
             reached.add(("dual", rep.set_equals_core))
-        elif rep.set_equals_core:
-            reached.add("settled")
+            if rep.set_equals_core is False:
+                assert len(built) == 1
         else:
-            reached.add("gate" if is_two_monotone(rep.bel.values, n) else "certificate")
-    assert {"settled", "gate", "certificate", ("dual", True)} <= reached, reached
+            assert rep.set_equals_core is True
+            reached.add("settled")
+    assert {"settled", ("dual", False), ("dual", True)} <= reached, reached
 
 
 @given(seed=st.integers(0, 2**32 - 1), box=st.booleans())
